@@ -5,7 +5,13 @@ when the a_j are positive rationals. This package computes that rational
 exactly via a residue-sum enumeration engine, provides the known closed
 forms for dominant-frequency configurations, and cross-checks everything
 with an independent floating-point quadrature oracle.
+
+The oracle needs numpy and scipy; it is imported on first use of one of its
+names (``crosscheck``, ``quadrature_estimate``, ...), so the exact path
+loads neither.
 """
+
+import importlib
 
 from .closed_forms import (
     CorrectionTerm,
@@ -52,13 +58,15 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .quadrature import (
-    CrosscheckReport,
-    QuadratureResult,
-    crosscheck,
-    integrand,
-    quadrature_estimate,
-    tail_bound,
+_QUADRATURE_NAMES = frozenset(
+    {
+        "CrosscheckReport",
+        "QuadratureResult",
+        "crosscheck",
+        "integrand",
+        "quadrature_estimate",
+        "tail_bound",
+    }
 )
 
 __version__ = "0.1.0"
@@ -109,3 +117,12 @@ __all__ = [
     "tail_bound",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # importlib, not "from . import quadrature": that statement looks the
+    # name up on this package first and would re-enter this hook.
+    if name == "quadrature" or name in _QUADRATURE_NAMES:
+        quadrature = importlib.import_module(__name__ + ".quadrature")
+        return quadrature if name == "quadrature" else getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,7 +41,6 @@ from .errors import (
     SincprodError,
     VerificationError,
 )
-from .quadrature import crosscheck
 
 _STRATEGIES = {
     "brute": EnumerationStrategy.BRUTE_FORCE,
@@ -216,6 +215,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"  mismatch: {x} != {y}", file=sys.stderr)
         return 2
     print(f"exact agreement: all {len(names)} values identical")
+
+    from .quadrature import crosscheck  # numpy and scipy load only for this command
 
     report = crosscheck(freqs, args.tolerance)
     quad = report.quadrature

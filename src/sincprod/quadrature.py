@@ -52,6 +52,21 @@ _PERIODIC_MAX_POINTS = 8_000_000
 _DIRECT_MAX_POINTS = 25_000_000
 
 
+def _as_double(value: Fraction, what: str) -> float:
+    """float(value), refusing values that double precision turns into 0 or inf."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if result == 0.0 or math.isinf(result):
+        exponent = round((value.numerator.bit_length() - value.denominator.bit_length()) * math.log10(2))
+        raise ToleranceError(
+            f"{what} is about 1e{exponent}, outside double-precision range; "
+            "the quadrature oracle cannot evaluate it"
+        )
+    return result
+
+
 def _sinc(t: float) -> float:
     t = abs(t)
     if t < _TAYLOR_CUTOFF:
@@ -89,7 +104,7 @@ def tail_bound(freqs: FrequencyList, R: float) -> float:
     if not (R > 0):
         raise ValidationError(f"window edge must be positive, got {R}")
     n = freqs.n
-    return 2.0 / ((n - 1) * R ** (n - 1) * float(freqs.product()))
+    return 2.0 / ((n - 1) * R ** (n - 1) * _as_double(freqs.product(), "the frequency product"))
 
 
 @dataclass(frozen=True)
@@ -210,7 +225,10 @@ def _far_field(
     Euler-Maclaurin boundary terms (midpoint error is boundary-driven once
     panels resolve the oscillation), doubled for neglected higher terms.
     """
-    period = 2.0 * math.pi * denominator_lcm
+    try:
+        period = 2.0 * math.pi * denominator_lcm
+    except OverflowError:  # a period past double range is never inside the window
+        period = math.inf
     periodic = period <= (r_needed - x_lo)
     if periodic:
         points = math.ceil(period / width)
@@ -221,12 +239,13 @@ def _far_field(
                 f"far field needs {points} points per period; tolerance unreachable"
             )
     else:
-        points = math.ceil((r_needed - x_lo) / width)
+        span = (r_needed - x_lo) / width
         x_hi = r_needed
-        if points > _DIRECT_MAX_POINTS:
+        if not span <= _DIRECT_MAX_POINTS:  # compared before ceil, which fails on inf
             raise ToleranceError(
-                f"far field needs {points} midpoint panels; tolerance unreachable"
+                f"far field needs {span:.3g} midpoint panels; tolerance unreachable"
             )
+        points = math.ceil(span)
 
     def rule(k: int) -> float:
         if periodic:
@@ -275,18 +294,26 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
     if target < MIN_TARGET:
         raise ToleranceError(f"target {target} is below the achievable floor {MIN_TARGET}")
 
-    a_floats = [float(a) for a in freqs.sorted_entries]
-    prod_a = float(freqs.product())
+    a_floats = [_as_double(a, "a frequency") for a in freqs.sorted_entries]
+    prod_a = _as_double(freqs.product(), "the frequency product")
     omega = sum(a_floats)
-    r_needed = (4.0 / ((n - 1) * prod_a * target)) ** (1.0 / (n - 1)) * (1.0 + 1e-9)
-    width = min(math.pi / (2.0 * a_floats[0]), 2.0 * math.pi / (3.0 * omega))
-
     disc_budget = target / 2.0
     # push the near/far boundary out until midpoint edge effects are small
     edge_goal = disc_budget / 20.0
-    x0 = (width**2 * (omega + 1.0) / (24.0 * prod_a * edge_goal)) ** (1.0 / n)
-    x0 = min(max(x0, 32.0 * width), r_needed)
-    near_panels = math.ceil(x0 / width)
+    try:
+        r_needed = (4.0 / ((n - 1) * prod_a * target)) ** (1.0 / (n - 1)) * (1.0 + 1e-9)
+        width = min(math.pi / (2.0 * a_floats[0]), 2.0 * math.pi / (3.0 * omega))
+        x0 = (width**2 * (omega + 1.0) / (24.0 * prod_a * edge_goal)) ** (1.0 / n)
+        x0 = min(max(x0, 32.0 * width), r_needed)
+        near_panels = math.ceil(x0 / width)
+    except (OverflowError, ZeroDivisionError, ValueError):  # ceil of inf or nan
+        r_needed = math.inf
+    if math.isinf(r_needed):
+        raise ToleranceError(
+            "the quadrature window for these frequencies lies outside double-precision range"
+        )
+    if near_panels > _DIRECT_MAX_POINTS:
+        raise ToleranceError(f"near field needs {near_panels} panels; tolerance unreachable")
     x0 = near_panels * width
 
     near_value, near_est = _near_field(a_floats, x0, width, 0.4 * disc_budget)

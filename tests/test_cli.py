@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sincprod
 from sincprod import parse_rational
 from sincprod.cli import main
 
@@ -71,6 +76,24 @@ class TestIntegrate:
         code, _, err = run(capsys, "integrate")
         assert code == 1
         assert "no frequencies" in err
+
+    def test_missing_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "absent.txt"
+        code, out, err = run(capsys, "integrate", "--file", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_directory_file_exits_one(self, capsys, tmp_path):
+        code, _, err = run(capsys, "integrate", "--file", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_digits_past_int_str_limit(self, capsys):
+        code, out, _ = run(capsys, "integrate", "1", "1", "1", "--digits", "6000", "--json")
+        assert code == 0
+        whole, frac = json.loads(out)["decimal"].split(".")
+        assert whole == "2" and len(frac) == 6000
 
     def test_file_and_args_conflict(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
@@ -160,6 +183,14 @@ class TestVerify:
         assert code == 1
         assert "1e-10" in err
 
+    @pytest.mark.parametrize("tiny", [True, False])
+    def test_frequency_outside_double_range_exits_one(self, capsys, tiny):
+        big = "1" + "0" * 400
+        code, out, err = run(capsys, "verify", f"1/{big}" if tiny else big, "1")
+        assert code == 1
+        assert "exact agreement: all" in out
+        assert err.startswith("error: ") and "double-precision range" in err
+
 
 class TestArgparseBehavior:
     def test_help_exits_zero(self, capsys):
@@ -170,3 +201,41 @@ class TestArgparseBehavior:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["integrate", "1", "--frobnicate"]) == 1
+
+
+LAZY_IMPORT_PROBE = """
+import sys
+import sincprod
+import sincprod.cli
+
+for argv in (["integrate", "1", "1/3", "1/5"], ["classify", "1", "1", "1/2"], ["classic-table", "--max-n", "8"]):
+    assert sincprod.cli.main(argv) == 0, argv
+heavy = sorted(m for m in ("numpy", "scipy", "mpmath") if m in sys.modules)
+assert not heavy, heavy
+exported = list(sincprod.__all__)
+assert callable(sincprod.crosscheck)
+assert sincprod.quadrature is sys.modules["sincprod.quadrature"]
+assert sincprod.__all__ == exported
+assert all(hasattr(sincprod, name) for name in exported)
+for name in sincprod.quadrature.__all__:
+    assert name in exported and getattr(sincprod, name) is getattr(sincprod.quadrature, name), name
+print("ok")
+"""
+
+
+class TestLazyImports:
+    def test_exact_commands_load_no_numeric_stack(self):
+        src = str(Path(sincprod.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_IMPORT_PROBE],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "ok"
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sincprod.no_such_name

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mpmath
 from sincprod import (
     PiMultiple,
     RationalParseError,
@@ -17,6 +18,7 @@ from sincprod import (
     load_frequency_file,
     parse_rational,
 )
+from sincprod import core
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
 
@@ -138,6 +140,21 @@ class TestFrequencyFile:
         fl = load_frequency_file(path)
         assert fl.entries == (Fraction(1), Fraction(1, 3), Fraction(1, 5))
 
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(ValidationError, match="absent.txt"):
+            load_frequency_file(path)
+
+    def test_directory_names_path(self, tmp_path):
+        with pytest.raises(ValidationError, match=tmp_path.name):
+            load_frequency_file(tmp_path)
+
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1\n\xff1/3\n")
+        with pytest.raises(ValidationError, match="latin1.txt"):
+            load_frequency_file(path)
+
     def test_error_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1\nbogus\n", encoding="utf-8")
@@ -163,6 +180,13 @@ class TestPiMultiple:
         with pytest.raises(ValidationError):
             PiMultiple(Fraction(1)).decimal(-1)
 
+    @pytest.mark.parametrize("q", [Fraction(1), Fraction(3, 4), Fraction(-5, 7)])
+    def test_decimal_past_int_str_limit(self, q):
+        # 6000 digits is past CPython's default 4300-digit int<->str limit
+        with mpmath.workdps(6100):
+            expected = mpmath.nstr(q.numerator * mpmath.pi / q.denominator, 6001, strip_zeros=False)
+        assert PiMultiple(q).decimal(6000) == expected
+
     def test_float(self):
         assert float(PiMultiple(Fraction(1, 2))) == pytest.approx(math.pi / 2, abs=1e-15)
 
@@ -171,3 +195,35 @@ class TestPiMultiple:
         text = PiMultiple(q).decimal(5)
         expect = float(text)  # sanity only; exactness checked via known pi above
         assert expect == pytest.approx(float(q) * math.pi, rel=1e-12)
+
+
+class TestPiDigits:
+    @pytest.mark.parametrize("k", [0, 1, 15, 60, 1000, 5000])
+    def test_matches_mpmath(self, k):
+        with mpmath.workdps(k + 30):
+            expected = int(mpmath.floor(mpmath.pi * 10**k))
+        assert core._pi_scaled(k) == expected
+
+    def test_close_call_takes_more_guard_digits(self, monkeypatch):
+        # decimals 762..767 of pi are 999999, so pi * 10**761 lies within
+        # 2e-6 of an integer; five guard digits cannot decide its floor
+        monkeypatch.setattr(core, "_PI_GUARD_DIGITS", 5)
+        with mpmath.workdps(800):
+            expected = int(mpmath.floor(mpmath.pi * 10**761))
+        assert core._pi_scaled(761) == expected
+
+
+class TestLongDigitStrings:
+    def test_parse_past_int_str_limit(self):
+        assert parse_rational("1/1" + "0" * 5000) == Fraction(1, 10**5000)
+        assert parse_rational("-" + "7" * 5000) == -7 * (10**5000 - 1) // 9
+        assert parse_rational("0." + "0" * 4999 + "1") == Fraction(1, 10**5000)
+
+    @given(st.integers(min_value=1, max_value=12000), st.integers(min_value=0, max_value=10**6))
+    def test_format_round_trip(self, digits, seed):
+        value = Fraction(-(10 ** (digits - 1)) - seed, 10**digits + 3)
+        assert parse_rational(format_rational(value)) == value
+
+    def test_format_matches_str_below_limit(self):
+        for value in (Fraction(0), Fraction(-7, 3), Fraction(10**4000 + 1, 3)):
+            assert format_rational(value) == str(value)

@@ -98,6 +98,27 @@ class TestQuadratureEstimate:
         with pytest.raises(ToleranceError):
             quadrature_estimate(fl(1, 1), target)
 
+    @pytest.mark.parametrize(
+        "values,match",
+        [
+            ((Fraction(1, 10**400), 1), "frequency is about 1e-400"),
+            ((10**400, 1), "frequency is about 1e400"),
+            ((Fraction(1, 10**200), Fraction(1, 10**200)), "product is about 1e-400"),
+            ((10**200, 10**200), "product is about 1e400"),
+            ((Fraction(1, 10**150), Fraction(1, 10**150)), "window"),
+            ((10**300, Fraction(1, 10**300)), "far field"),
+            ((1, 1, Fraction(1, 10**100)), "near field"),
+            ((1, Fraction(10**400, 10**400 + 1)), "far field"),
+        ],
+    )
+    def test_rejects_values_outside_double_range(self, values, match):
+        with pytest.raises(ToleranceError, match=match):
+            quadrature_estimate(fl(*values), 1e-8)
+
+    def test_tail_bound_rejects_product_outside_double_range(self):
+        with pytest.raises(ToleranceError):
+            tail_bound(fl(Fraction(1, 10**200), Fraction(1, 10**200)), 10.0)
+
 
 class TestCrosscheck:
     @pytest.mark.parametrize(
