@@ -6,25 +6,15 @@ Usage: python scripts/show_break.py [MAX_N]
 
 import sys
 
-from sincprod import (
-    EnumerationStrategy,
-    classical_frequencies,
-    correction_term,
-    evaluate,
-    integral_coefficient,
-)
+from sincprod import classical_frequencies, correction_term, evaluate
 
 
 def main() -> int:
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     print(f"integral of sinc(x) sinc(x/3) ... sinc(x/(2n-1)) as a multiple of pi, n = 1..{max_n}\n")
     for n in range(1, max_n + 1):
-        if n <= 20:
-            result = evaluate(classical_frequencies(n))
-            coeff, provenance = result.value.coefficient, result.provenance
-        else:
-            value = integral_coefficient(classical_frequencies(n), EnumerationStrategy.MEET_IN_MIDDLE)
-            coeff, provenance = value.coefficient, "engine:mitm"
+        result = evaluate(classical_frequencies(n))
+        coeff, provenance = result.value.coefficient, result.provenance
         deficit = 1 - coeff
         deficit_note = "exactly pi" if deficit == 0 else f"deficit {float(deficit):.3e} * pi"
         print(f"n = {n:2d}  {provenance:28s} {deficit_note}")

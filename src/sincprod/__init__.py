@@ -33,8 +33,6 @@ from .closed_forms import (
 from .core import (
     FrequencyList,
     PiMultiple,
-    double_factorial,
-    factorial,
     format_rational,
     frequency_list,
     load_frequency_file,
@@ -44,14 +42,11 @@ from .engine import (
     MAX_FREQUENCIES,
     EnumerationStrategy,
     integral_coefficient,
-    signed_frequency_sum,
     signed_moment_sum,
-    signed_moment_sum_mitm,
 )
 from .errors import (
     ApplicabilityError,
     CapacityError,
-    NonPositiveResultWarning,
     RationalParseError,
     SincprodError,
     ToleranceError,
@@ -63,7 +58,6 @@ _QUADRATURE_NAMES = frozenset(
         "CrosscheckReport",
         "QuadratureResult",
         "crosscheck",
-        "integrand",
         "quadrature_estimate",
         "tail_bound",
     }
@@ -89,8 +83,6 @@ __all__ = [
     "three_frequency_value",
     "FrequencyList",
     "PiMultiple",
-    "double_factorial",
-    "factorial",
     "format_rational",
     "frequency_list",
     "load_frequency_file",
@@ -98,12 +90,9 @@ __all__ = [
     "MAX_FREQUENCIES",
     "EnumerationStrategy",
     "integral_coefficient",
-    "signed_frequency_sum",
     "signed_moment_sum",
-    "signed_moment_sum_mitm",
     "ApplicabilityError",
     "CapacityError",
-    "NonPositiveResultWarning",
     "RationalParseError",
     "SincprodError",
     "ToleranceError",
@@ -112,7 +101,6 @@ __all__ = [
     "CrosscheckReport",
     "QuadratureResult",
     "crosscheck",
-    "integrand",
     "quadrature_estimate",
     "tail_bound",
     "__version__",

@@ -4,9 +4,13 @@ Subcommands:
     integrate     exact pi-coefficient of a frequency list
     classify      dominance classification with exact inequality sides
     classic-table the 1, 1/3, 1/5, ... family up to a chosen length
-    verify        closed forms vs engine strategies vs quadrature
+    verify        brute force vs meet-in-the-middle vs closed forms vs quadrature
 
-Exit codes: 0 success, 1 input error, 2 verification failure.
+`integrate` uses the closed form when one applies, else meet-in-the-middle;
+`--strategy brute|mitm` forces an engine strategy instead.
+
+Exit codes: 0 success, 1 input error, 2 verification failure (routes
+disagree, the oracle disagrees, or a result breaks 0 < q <= 1/a_1).
 """
 
 from __future__ import annotations
@@ -41,13 +45,6 @@ from .errors import (
     SincprodError,
     VerificationError,
 )
-
-_STRATEGIES = {
-    "brute": EnumerationStrategy.BRUTE_FORCE,
-    "mirror": EnumerationStrategy.MIRROR_HALVED,
-    "mitm": EnumerationStrategy.MEET_IN_MIDDLE,
-}
-
 
 @dataclasses.dataclass
 class OutputRecord:
@@ -97,7 +94,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     classification = classify_dominance(freqs)
     verified = None
     if args.strategy:
-        strategy = _STRATEGIES[args.strategy]
+        strategy = EnumerationStrategy(args.strategy)
         value = integral_coefficient(freqs, strategy)
         provenance = f"engine:{strategy.value}"
     else:
@@ -184,8 +181,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise SincprodError(f"--tolerance must be at least 1e-10, got {args.tolerance}")
 
     exact: dict[str, Fraction] = {}
-    for name, strategy in _STRATEGIES.items():
-        exact[f"engine:{name}"] = integral_coefficient(freqs, strategy).coefficient
+    for strategy in EnumerationStrategy:
+        exact[f"engine:{strategy.value}"] = integral_coefficient(freqs, strategy).coefficient
     exact.update(_closed_form_values(freqs))
 
     print(f"frequencies: {freqs}  (n = {freqs.n})")
@@ -241,7 +238,11 @@ def _build_parser() -> argparse.ArgumentParser:
     integrate = sub.add_parser("integrate", help="compute the exact pi-coefficient")
     integrate.add_argument("freqs", nargs="*", help="frequencies as n, n/d or finite decimals")
     integrate.add_argument("--file", help="read frequencies from a file, one per line")
-    integrate.add_argument("--strategy", choices=sorted(_STRATEGIES), help="force an engine strategy")
+    integrate.add_argument(
+        "--strategy",
+        choices=[s.value for s in EnumerationStrategy],
+        help="force an engine strategy",
+    )
     integrate.add_argument("--digits", type=int, default=15, help="decimal digits of coefficient*pi")
     integrate.add_argument("--json", action="store_true", help="emit one JSON object")
     integrate.add_argument("--no-verify", action="store_true", help="skip closed-form re-verification")

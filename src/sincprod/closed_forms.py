@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import FrequencyList, PiMultiple, frequency_list
-from .engine import EnumerationStrategy, integral_coefficient
+from .engine import integral_coefficient
 from .errors import ApplicabilityError, ValidationError, VerificationError
 
 __all__ = [
@@ -279,11 +279,6 @@ class Evaluation:
     verified: bool
 
 
-def _engine_strategy(n: int) -> EnumerationStrategy:
-    # the slowest path is the most trustworthy default at desk scale
-    return EnumerationStrategy.BRUTE_FORCE if n <= 20 else EnumerationStrategy.MEET_IN_MIDDLE
-
-
 def evaluate(freqs: FrequencyList, verify: bool = True) -> Evaluation:
     """Best available route to the exact value, with provenance.
 
@@ -301,13 +296,11 @@ def evaluate(freqs: FrequencyList, verify: bool = True) -> Evaluation:
     elif tag is DominanceTag.THREE_DOMINANT:
         value, provenance = three_dominant_value(freqs), "three-dominant"
     else:
-        strategy = _engine_strategy(freqs.n)
-        value = integral_coefficient(freqs, strategy)
-        return Evaluation(value, f"engine:{strategy.value}", classification, False)
+        return Evaluation(integral_coefficient(freqs), "engine:mitm", classification, False)
 
     verified = False
     if verify and freqs.n <= VERIFY_LIMIT:
-        engine_value = integral_coefficient(freqs, _engine_strategy(freqs.n))
+        engine_value = integral_coefficient(freqs)
         if engine_value.coefficient != value.coefficient:
             raise VerificationError(
                 f"{provenance} gave {value.coefficient} but the engine gave "

@@ -20,8 +20,6 @@ from .errors import RationalParseError, ValidationError
 __all__ = [
     "parse_rational",
     "format_rational",
-    "double_factorial",
-    "factorial",
     "FrequencyList",
     "frequency_list",
     "load_frequency_file",
@@ -88,16 +86,6 @@ def format_rational(value: Fraction) -> str:
     return f"{_int_to_digits(value.numerator)}/{_int_to_digits(value.denominator)}"
 
 
-def double_factorial(k: int) -> int:
-    """k!! = k (k-2) (k-4) ... down to 1 or 2; 0!! = 1 by convention."""
-    if k < 0:
-        raise ValidationError(f"double factorial undefined for negative {k}")
-    return math.prod(range(k, 0, -2))
-
-
-factorial = math.factorial
-
-
 @dataclass(frozen=True)
 class FrequencyList:
     """Validated list of strictly positive rational frequencies.
@@ -116,15 +104,8 @@ class FrequencyList:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
-    def largest(self) -> Fraction:
-        return self.sorted_entries[0]
-
     def product(self) -> Fraction:
         return math.prod(self.sorted_entries, start=Fraction(1))
-
-    def total(self) -> Fraction:
-        return sum(self.sorted_entries, start=Fraction(0))
 
     def scaled(self, c: Fraction) -> "FrequencyList":
         """Same list with every frequency multiplied by c > 0."""

@@ -8,14 +8,18 @@ contribute to the residue at the origin, and collecting them gives
     coefficient = S / (2^(n-1) (n-1)! prod_j a_j),
     S = sum over lam(s) > 0 of (prod_j s_j) lam(s)^(n-1).
 
-Three enumeration strategies compute S and must agree bit-exactly:
+Two enumeration strategies compute S and must agree bit-exactly:
 
-* BRUTE_FORCE     - all 2^n vectors, Gray-code order, the trusted oracle.
-* MIRROR_HALVED   - only vectors with s_1 = +1; a vector whose lam is
-                    negative stands in for its mirror image -s, which has
-                    positive lam and product of signs scaled by (-1)^n.
-* MEET_IN_MIDDLE  - split the list in half, sort one half's partial sums,
-                    and combine through binomial-expanded suffix moments.
+* MEET_IN_MIDDLE  - the default: split the list in half, sort one half's
+                    partial sums, and combine through binomial-expanded
+                    suffix moments; O(2^(n/2) n) big-int steps.
+* BRUTE_FORCE     - all 2^n vectors, Gray-code order; the trusted
+                    reference that tests compare the default against.
+
+The result is checked against a proven bound: q = 2 f_X(0) for
+X = U_1 + ... + U_n with U_j uniform on [-a_j, a_j], and X is symmetric and
+unimodal, so 0 < q <= 1/a_1 (D. Borwein and J. M. Borwein, Ramanujan J. 5,
+2001). A value outside it is a defect, reported as VerificationError.
 
 Internally all arithmetic is on integers: frequencies are scaled by the
 lcm of their denominators, so every lam is an integer and the single
@@ -25,43 +29,26 @@ division back to a rational happens once at the end.
 from __future__ import annotations
 
 import math
-import warnings
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .core import FrequencyList, PiMultiple
-from .errors import CapacityError, NonPositiveResultWarning, ValidationError
+from .errors import CapacityError, ValidationError, VerificationError
 
 __all__ = [
     "EnumerationStrategy",
     "MAX_FREQUENCIES",
-    "signed_frequency_sum",
     "signed_moment_sum",
-    "signed_moment_sum_mitm",
     "integral_coefficient",
 ]
 
 # 2^(n/2) working set past this point; keep the resource envelope predictable
 MAX_FREQUENCIES = 40
 
-SignVector = tuple[int, ...]
-
 
 class EnumerationStrategy(Enum):
     BRUTE_FORCE = "brute"
-    MIRROR_HALVED = "mirror"
     MEET_IN_MIDDLE = "mitm"
-
-
-def signed_frequency_sum(freqs: FrequencyList, signs: Sequence[int]) -> Fraction:
-    """lam(s) = sum_j s_j a_j, pairing signs with the sorted frequencies."""
-    if len(signs) != freqs.n:
-        raise ValidationError(f"expected {freqs.n} signs, got {len(signs)}")
-    for i, s in enumerate(signs):
-        if s not in (-1, 1):
-            raise ValidationError(f"sign at index {i} must be -1 or +1, got {s!r}")
-    return sum((s * a for s, a in zip(signs, freqs.sorted_entries)), start=Fraction(0))
 
 
 def _integer_weights(freqs: FrequencyList) -> tuple[list[int], int]:
@@ -82,34 +69,6 @@ def _moment_sum_brute(weights: list[int], n: int) -> int:
         sign = -sign
         if lam > 0:
             total += sign * lam**p
-    return total
-
-
-def _moment_sum_mirror(weights: list[int], n: int) -> int:
-    # Enumerate s_1 = +1 only. lam < 0 here means the mirror vector -s has
-    # lam > 0 and sign product (-1)^n times ours, so count |lam|^(n-1) with
-    # that parity factor; lam = 0 contributes nothing either way.
-    p = n - 1
-    parity = -1 if n % 2 else 1
-    lam = sum(weights)
-    if lam > 0:
-        total = lam**p
-    elif lam < 0:
-        total = parity * (-lam) ** p
-    else:
-        total = 0
-    sign = 1
-    mask = 0
-    for step in range(1, 1 << (n - 1)):
-        bit = (step & -step).bit_length() - 1
-        mask ^= 1 << bit
-        w = weights[bit + 1]  # position 0 is pinned to +1
-        lam += -2 * w if mask >> bit & 1 else 2 * w
-        sign = -sign
-        if lam > 0:
-            total += sign * lam**p
-        elif lam < 0:
-            total += parity * sign * (-lam) ** p
     return total
 
 
@@ -170,7 +129,7 @@ def _moment_sum_mitm(weights: list[int], n: int) -> int:
 
 def signed_moment_sum(
     freqs: FrequencyList,
-    strategy: EnumerationStrategy = EnumerationStrategy.BRUTE_FORCE,
+    strategy: EnumerationStrategy = EnumerationStrategy.MEET_IN_MIDDLE,
 ) -> Fraction:
     """S = sum over sign vectors with lam > 0 of (prod signs) lam^(n-1).
 
@@ -185,37 +144,29 @@ def signed_moment_sum(
     weights, scale = _integer_weights(freqs)
     if strategy is EnumerationStrategy.BRUTE_FORCE:
         total = _moment_sum_brute(weights, n)
-    elif strategy is EnumerationStrategy.MIRROR_HALVED:
-        total = _moment_sum_mirror(weights, n)
     elif strategy is EnumerationStrategy.MEET_IN_MIDDLE:
-        if n < 2:
-            raise ValidationError("meet-in-the-middle needs at least two frequencies")
         total = _moment_sum_mitm(weights, n)
     else:  # pragma: no cover - enum is closed
         raise ValidationError(f"unknown strategy {strategy!r}")
     return Fraction(total, scale ** (n - 1))
 
 
-def signed_moment_sum_mitm(freqs: FrequencyList) -> Fraction:
-    """Meet-in-the-middle evaluation of the signed moment sum (n >= 2)."""
-    return signed_moment_sum(freqs, EnumerationStrategy.MEET_IN_MIDDLE)
-
-
 def integral_coefficient(
     freqs: FrequencyList,
-    strategy: EnumerationStrategy = EnumerationStrategy.BRUTE_FORCE,
+    strategy: EnumerationStrategy = EnumerationStrategy.MEET_IN_MIDDLE,
 ) -> PiMultiple:
     """Exact rational q with integral(prod_j sinc(a_j x) dx) = q*pi.
 
     For a single frequency the integral is the improper Riemann one.
+    Raises VerificationError if q breaks the proven bound 0 < q <= 1/a_1.
     """
+    # strategy stays positional: perfbench's tracer labels the span from args[1]
     moment = signed_moment_sum(freqs, strategy)
     n = freqs.n
     coefficient = moment / (Fraction(2) ** (n - 1) * math.factorial(n - 1) * freqs.product())
-    if coefficient <= 0:
-        warnings.warn(
-            f"non-positive coefficient {coefficient} for frequencies ({freqs})",
-            NonPositiveResultWarning,
-            stacklevel=2,
+    if not 0 < coefficient <= 1 / freqs.sorted_entries[0]:
+        raise VerificationError(
+            f"engine gave {coefficient} for ({freqs}), outside the proven "
+            f"bound 0 < q <= 1/a_1 = {1 / freqs.sorted_entries[0]}"
         )
     return PiMultiple(coefficient)

@@ -29,12 +29,4 @@ class ToleranceError(SincprodError):
 
 
 class VerificationError(SincprodError):
-    """A closed form disagreed with the enumeration engine."""
-
-
-class NonPositiveResultWarning(UserWarning):
-    """Diagnostic: a computed pi-coefficient was not strictly positive.
-
-    Every case worked out so far has been positive, but positivity is not
-    proven in general, so this is a warning rather than an invariant.
-    """
+    """A closed form disagreed with the engine, or a result broke a proven bound."""

@@ -31,11 +31,10 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .core import FrequencyList
-from .engine import EnumerationStrategy, integral_coefficient
+from .engine import integral_coefficient
 from .errors import ToleranceError, ValidationError
 
 __all__ = [
-    "integrand",
     "tail_bound",
     "quadrature_estimate",
     "crosscheck",
@@ -67,23 +66,8 @@ def _as_double(value: Fraction, what: str) -> float:
     return result
 
 
-def _sinc(t: float) -> float:
-    t = abs(t)
-    if t < _TAYLOR_CUTOFF:
-        return 1.0 - t * t / 6.0 + t**4 / 120.0
-    return math.sin(t) / t
-
-
-def integrand(freqs: FrequencyList, x: float) -> float:
-    """prod_j sinc(a_j x); exactly even because only |x| is ever used."""
-    x = abs(x)
-    out = 1.0
-    for a in freqs.sorted_entries:
-        out *= _sinc(float(a) * x)
-    return out
-
-
 def _integrand_grid(a_floats: list[float], xs: np.ndarray) -> np.ndarray:
+    """prod_j sinc(a_j x) at every x; exactly even because only |x| is used."""
     out = np.ones_like(xs)
     ax = np.abs(xs)
     for a in a_floats:
@@ -336,14 +320,10 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
     return QuadratureResult(value, discretization, tail, r_final)
 
 
-def _exact_strategy(n: int) -> EnumerationStrategy:
-    return EnumerationStrategy.BRUTE_FORCE if n <= 20 else EnumerationStrategy.MEET_IN_MIDDLE
-
-
 def crosscheck(freqs: FrequencyList, target_abs_error: float) -> CrosscheckReport:
     """Compare the numeric estimate against the exact engine value."""
     quad = quadrature_estimate(freqs, target_abs_error)
-    exact = integral_coefficient(freqs, _exact_strategy(freqs.n)).coefficient
+    exact = integral_coefficient(freqs).coefficient
     exact_value = float(exact) * math.pi
     difference = abs(quad.value - exact_value)
     return CrosscheckReport(quad, exact, exact_value, difference, difference <= quad.total_error_bound)

@@ -148,9 +148,8 @@ def test_strategy_equivalence_and_large_mitm():
             values[rng.randrange(n)] = values[rng.randrange(n)]
         freqs = frequency_list(values)
         brute = signed_moment_sum(freqs, EnumerationStrategy.BRUTE_FORCE)
-        ok = ok and signed_moment_sum(freqs, EnumerationStrategy.MIRROR_HALVED) == brute
         ok = ok and signed_moment_sum(freqs, EnumerationStrategy.MEET_IN_MIDDLE) == brute
-    assert report("three strategies identical on 200 random lists (n <= 16)", ok)
+    assert report("both strategies identical on 200 random lists (n <= 16)", ok)
 
     start = time.perf_counter()
     value = integral_coefficient(classical_frequencies(24), EnumerationStrategy.MEET_IN_MIDDLE)

@@ -174,6 +174,13 @@ class TestVerify:
         assert code == 0
         assert "35/48" in out
 
+    def test_listing_has_two_engine_rows(self, capsys):
+        code, out, _ = run(capsys, "verify", "1", "1", "1")
+        assert code == 0
+        listing = out.split("pairwise agreement:")[0]
+        engine_rows = [line.split()[:2] for line in listing.splitlines() if "engine:" in line]
+        assert engine_rows == [["[1]", "engine:brute"], ["[2]", "engine:mitm"]]
+
     def test_single_frequency_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "1")
         assert code == 1

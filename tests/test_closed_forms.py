@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sincprod import (
     ApplicabilityError,
     DominanceTag,
+    EnumerationStrategy,
     ValidationError,
     classical_frequencies,
     classify_dominance,
@@ -22,6 +23,7 @@ from sincprod import (
     three_dominant_value,
     three_frequency_value,
 )
+from sincprod.closed_forms import VERIFY_LIMIT
 from support import (
     boundary_list,
     first_dominant_list,
@@ -263,7 +265,7 @@ class TestEvaluate:
 
     def test_classical_nine_engine_fallback(self):
         result = evaluate(classical_frequencies(9))
-        assert result.provenance.startswith("engine:")
+        assert result.provenance == "engine:mitm"
         assert result.value.coefficient == integral_coefficient(classical_frequencies(9)).coefficient
         assert not result.verified
 
@@ -274,8 +276,22 @@ class TestEvaluate:
 
     def test_none_class_uses_engine(self):
         result = evaluate(fl(1, 1))
-        assert result.provenance.startswith("engine:")
+        assert result.provenance == "engine:mitm"
         assert result.value.coefficient == 1
+
+    def test_coprime_engine_route_and_reverification_at_limit(self):
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+        engine_route = frequency_list([Fraction(1, p) for p in primes[:15]])
+        result = evaluate(engine_route)
+        assert result.provenance == "engine:mitm"
+        brute = integral_coefficient(engine_route, EnumerationStrategy.BRUTE_FORCE)
+        assert result.value == brute
+        # 2 > 1/3 + ... + 1/71, so the closed form applies and is re-checked at n = 20
+        closed_form = frequency_list([2] + [Fraction(1, p) for p in primes[1:]])
+        result = evaluate(closed_form)
+        assert closed_form.n == VERIFY_LIMIT
+        assert result.provenance == "first-dominant"
+        assert result.verified
 
 
 class TestRandomizedAgainstEngine:

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -11,8 +10,6 @@ from sincprod import (
     PiMultiple,
     RationalParseError,
     ValidationError,
-    double_factorial,
-    factorial,
     format_rational,
     frequency_list,
     load_frequency_file,
@@ -71,30 +68,6 @@ class TestParseRational:
             assert math.gcd(abs(q.numerator), q.denominator) == 1
 
 
-class TestFactorials:
-    def test_double_factorial_known(self):
-        # independent oracle: direct product of the odd run
-        assert double_factorial(15) == reduce(lambda x, y: x * y, range(1, 16, 2))
-        assert double_factorial(15) == 2027025
-        assert double_factorial(7) == 105
-        assert double_factorial(0) == 1
-        assert double_factorial(8) == 384
-
-    def test_double_factorial_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            double_factorial(-1)
-
-    def test_factorial(self):
-        assert factorial(0) == 1
-        assert factorial(3) == 6
-        assert factorial(7) == 5040
-
-    @pytest.mark.parametrize("n", range(1, 21))
-    def test_double_factorial_identity(self, n):
-        # n = 0 would need (-1)!!, which is outside the declared domain
-        assert math.factorial(2 * n) == double_factorial(2 * n - 1) * 2**n * math.factorial(n)
-
-
 class TestFrequencyList:
     def test_sorted_view(self):
         fl = frequency_list([Fraction(1), Fraction(1, 3), Fraction(1, 5)])
@@ -120,9 +93,7 @@ class TestFrequencyList:
 
     def test_helpers(self):
         fl = frequency_list([Fraction(1, 2), Fraction(2)])
-        assert fl.largest == 2
         assert fl.product() == 1
-        assert fl.total() == Fraction(5, 2)
         assert fl.scaled(Fraction(2)).entries == (Fraction(1), Fraction(4))
 
     @given(st.lists(st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50), min_size=1, max_size=8))

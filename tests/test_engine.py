@@ -10,39 +10,20 @@ from hypothesis import strategies as st
 from sincprod import (
     CapacityError,
     EnumerationStrategy,
-    ValidationError,
+    VerificationError,
     classical_frequencies,
+    engine,
     frequency_list,
     integral_coefficient,
-    signed_frequency_sum,
     signed_moment_sum,
-    signed_moment_sum_mitm,
 )
+from sincprod.cli import main
 from support import arbitrary_list, reference_coefficient, reference_moment_sum
 
 I8_COEFFICIENT = 1 - Fraction(6879714958723010531, 467807924720320453655260875000)
 
 positive_fractions = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20)
 small_lists = st.lists(positive_fractions, min_size=1, max_size=7)
-
-
-class TestSignedFrequencySum:
-    def test_examples(self):
-        fl = frequency_list([Fraction(1), Fraction(1, 3), Fraction(1, 5)])
-        assert signed_frequency_sum(fl, (1, 1, 1)) == Fraction(23, 15)
-        assert signed_frequency_sum(fl, (1, -1, -1)) == Fraction(7, 15)
-        single = frequency_list([Fraction(3, 7)])
-        assert signed_frequency_sum(single, (-1,)) == Fraction(-3, 7)
-
-    def test_length_mismatch(self):
-        fl = frequency_list([Fraction(1), Fraction(2)])
-        with pytest.raises(ValidationError):
-            signed_frequency_sum(fl, (1,))
-
-    def test_bad_sign(self):
-        fl = frequency_list([Fraction(1)])
-        with pytest.raises(ValidationError):
-            signed_frequency_sum(fl, (0,))
 
 
 class TestSignedMomentSum:
@@ -63,11 +44,13 @@ class TestSignedMomentSum:
     def test_single_frequency(self):
         fl = frequency_list([Fraction(5, 3)])
         assert signed_moment_sum(fl) == 1
-        assert signed_moment_sum(fl, EnumerationStrategy.MIRROR_HALVED) == 1
+        assert signed_moment_sum(fl, EnumerationStrategy.BRUTE_FORCE) == 1
 
-    def test_mitm_requires_two(self):
-        with pytest.raises(ValidationError):
-            signed_moment_sum_mitm(frequency_list([Fraction(1)]))
+    @pytest.mark.parametrize("a", [1, 5, 7])
+    def test_mitm_single_frequency(self, a):
+        fl = frequency_list([a])
+        assert signed_moment_sum(fl, EnumerationStrategy.MEET_IN_MIDDLE) == 1
+        assert integral_coefficient(fl, EnumerationStrategy.MEET_IN_MIDDLE).coefficient == 1 / Fraction(a)
 
     def test_capacity_guard(self):
         fl = frequency_list([Fraction(1)] * 41)
@@ -75,13 +58,14 @@ class TestSignedMomentSum:
             signed_moment_sum(fl)
 
     def test_mitm_examples(self):
-        assert signed_moment_sum_mitm(frequency_list([1, 1, 1])) == 6
-        assert signed_moment_sum_mitm(frequency_list([Fraction(2), 1, Fraction(1, 2)])) == 4
+        mitm = EnumerationStrategy.MEET_IN_MIDDLE
+        assert signed_moment_sum(frequency_list([1, 1, 1]), mitm) == 6
+        assert signed_moment_sum(frequency_list([Fraction(2), 1, Fraction(1, 2)]), mitm) == 4
 
     def test_mitm_matches_break_fraction(self):
         freqs = classical_frequencies(8)
         implied = I8_COEFFICIENT * Fraction(2) ** 7 * math.factorial(7) * freqs.product()
-        assert signed_moment_sum_mitm(freqs) == implied
+        assert signed_moment_sum(freqs, EnumerationStrategy.MEET_IN_MIDDLE) == implied
 
     @settings(max_examples=40, deadline=None)
     @given(small_lists)
@@ -131,6 +115,18 @@ class TestIntegralCoefficient:
         assert integral_coefficient(classical_frequencies(8)).coefficient == I8_COEFFICIENT
 
 
+class TestProvenBound:
+    # q = 2 f_X(0) for a symmetric unimodal X, so 0 < q <= 1/a_1; for the
+    # list (1, 1), q = S/2 and the kernel must give 0 < S <= 2.
+    @pytest.mark.parametrize("moment", [0, 3])
+    def test_out_of_bound_result_is_a_verification_error(self, monkeypatch, capsys, moment):
+        monkeypatch.setattr(engine, "_moment_sum_mitm", lambda weights, n: moment)
+        with pytest.raises(VerificationError, match="proven bound"):
+            integral_coefficient(frequency_list([1, 1]))
+        assert main(["integrate", "1", "1"]) == 2
+        assert "proven bound" in capsys.readouterr().err
+
+
 class TestStrategyEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(small_lists)
@@ -138,16 +134,13 @@ class TestStrategyEquivalence:
         fl = frequency_list(values)
         expected = reference_moment_sum(fl)
         assert signed_moment_sum(fl, EnumerationStrategy.BRUTE_FORCE) == expected
-        assert signed_moment_sum(fl, EnumerationStrategy.MIRROR_HALVED) == expected
-        if fl.n >= 2:
-            assert signed_moment_sum(fl, EnumerationStrategy.MEET_IN_MIDDLE) == expected
+        assert signed_moment_sum(fl, EnumerationStrategy.MEET_IN_MIDDLE) == expected
 
     def test_larger_seeded_cases(self):
         rng = random.Random(1905)
         for n in (12, 15, 17, 18):
             fl = arbitrary_list(rng, n)
             brute = signed_moment_sum(fl, EnumerationStrategy.BRUTE_FORCE)
-            assert signed_moment_sum(fl, EnumerationStrategy.MIRROR_HALVED) == brute
             assert signed_moment_sum(fl, EnumerationStrategy.MEET_IN_MIDDLE) == brute
 
 
