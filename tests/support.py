@@ -10,21 +10,33 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 from sincprod import (
     DominanceTag,
     FrequencyList,
+    ValidationError,
     classify_dominance,
     frequency_list,
 )
+
+
+def signed_frequency_sum(freqs: FrequencyList, signs: Sequence[int]) -> Fraction:
+    """lam(s) = sum_j s_j a_j, pairing signs with the sorted frequencies."""
+    if len(signs) != freqs.n:
+        raise ValidationError(f"expected {freqs.n} signs, got {len(signs)}")
+    for i, s in enumerate(signs):
+        if s not in (-1, 1):
+            raise ValidationError(f"sign at index {i} must be -1 or +1, got {s!r}")
+    return sum((s * a for s, a in zip(signs, freqs.sorted_entries)), start=Fraction(0))
 
 
 def reference_moment_sum(freqs: FrequencyList) -> Fraction:
     n = freqs.n
     total = Fraction(0)
     for signs in itertools.product((1, -1), repeat=n):
-        lam = sum(s * a for s, a in zip(signs, freqs.sorted_entries))
+        lam = signed_frequency_sum(freqs, signs)
         if lam > 0:
             total += math.prod(signs) * lam ** (n - 1)
     return total

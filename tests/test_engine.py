@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sincprod import (
     CapacityError,
     EnumerationStrategy,
+    ValidationError,
     VerificationError,
     classical_frequencies,
     engine,
@@ -18,12 +19,32 @@ from sincprod import (
     signed_moment_sum,
 )
 from sincprod.cli import main
-from support import arbitrary_list, reference_coefficient, reference_moment_sum
+from support import arbitrary_list, reference_coefficient, reference_moment_sum, signed_frequency_sum
 
 I8_COEFFICIENT = 1 - Fraction(6879714958723010531, 467807924720320453655260875000)
 
 positive_fractions = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20)
 small_lists = st.lists(positive_fractions, min_size=1, max_size=7)
+
+
+class TestSignedFrequencySum:
+    # lam(s) of the reference oracle that every engine test compares against
+    def test_examples(self):
+        fl = frequency_list([Fraction(1), Fraction(1, 3), Fraction(1, 5)])
+        assert signed_frequency_sum(fl, (1, 1, 1)) == Fraction(23, 15)
+        assert signed_frequency_sum(fl, (1, -1, -1)) == Fraction(7, 15)
+        single = frequency_list([Fraction(3, 7)])
+        assert signed_frequency_sum(single, (-1,)) == Fraction(-3, 7)
+
+    def test_length_mismatch(self):
+        fl = frequency_list([Fraction(1), Fraction(2)])
+        with pytest.raises(ValidationError):
+            signed_frequency_sum(fl, (1,))
+
+    def test_bad_sign(self):
+        fl = frequency_list([Fraction(1)])
+        with pytest.raises(ValidationError):
+            signed_frequency_sum(fl, (0,))
 
 
 class TestSignedMomentSum:
