@@ -21,14 +21,9 @@ from .closed_forms import (
     InequalityCheck,
     classical_frequencies,
     classify_dominance,
+    closed_form_values,
     correction_term,
     evaluate,
-    factorial_frequency_family,
-    first_dominant_correction,
-    first_dominant_value,
-    three_dominant_equal_first_two,
-    three_dominant_value,
-    three_frequency_value,
 )
 from .core import (
     FrequencyList,
@@ -73,14 +68,9 @@ __all__ = [
     "InequalityCheck",
     "classical_frequencies",
     "classify_dominance",
+    "closed_form_values",
     "correction_term",
     "evaluate",
-    "factorial_frequency_family",
-    "first_dominant_correction",
-    "first_dominant_value",
-    "three_dominant_equal_first_two",
-    "three_dominant_value",
-    "three_frequency_value",
     "FrequencyList",
     "PiMultiple",
     "format_rational",

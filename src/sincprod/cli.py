@@ -22,16 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .closed_forms import (
-    classical_frequencies,
-    classify_dominance,
-    evaluate,
-    first_dominant_correction,
-    first_dominant_value,
-    three_dominant_equal_first_two,
-    three_dominant_value,
-    three_frequency_value,
-)
+from .closed_forms import classical_frequencies, classify_dominance, closed_form_values, evaluate
 from .core import (
     FrequencyList,
     format_rational,
@@ -40,11 +31,7 @@ from .core import (
     parse_rational,
 )
 from .engine import EnumerationStrategy, integral_coefficient
-from .errors import (
-    ApplicabilityError,
-    SincprodError,
-    VerificationError,
-)
+from .errors import SincprodError, VerificationError
 
 @dataclasses.dataclass
 class OutputRecord:
@@ -91,15 +78,14 @@ def _freqs_from_args(args: argparse.Namespace) -> FrequencyList:
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
     freqs = _freqs_from_args(args)
-    classification = classify_dominance(freqs)
     verified = None
     if args.strategy:
         strategy = EnumerationStrategy(args.strategy)
         value = integral_coefficient(freqs, strategy)
-        provenance = f"engine:{strategy.value}"
+        classification, provenance = classify_dominance(freqs), f"engine:{strategy.value}"
     else:
         result = evaluate(freqs, verify=not args.no_verify)
-        value, provenance = result.value, result.provenance
+        value, provenance, classification = result.value, result.provenance, result.classification
         if result.verified:
             verified = {"method": "engine-recomputation", "match": True}
     record = _record(freqs, value, classification, provenance, args.digits)
@@ -156,23 +142,6 @@ def _cmd_classic_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _closed_form_values(freqs: FrequencyList) -> dict[str, Fraction]:
-    candidates = {
-        "first-dominant": first_dominant_value,
-        "first-dominant-correction": first_dominant_correction,
-        "three-dominant": three_dominant_value,
-        "three-dominant-equal-pair": three_dominant_equal_first_two,
-        "three-factor": three_frequency_value,
-    }
-    values = {}
-    for name, fn in candidates.items():
-        try:
-            values[name] = fn(freqs).coefficient
-        except ApplicabilityError:
-            continue
-    return values
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     freqs = _freqs_from_args(args)
     if freqs.n < 2:
@@ -183,7 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     exact: dict[str, Fraction] = {}
     for strategy in EnumerationStrategy:
         exact[f"engine:{strategy.value}"] = integral_coefficient(freqs, strategy).coefficient
-    exact.update(_closed_form_values(freqs))
+    exact.update((name, value.coefficient) for name, value in closed_form_values(freqs).items())
 
     print(f"frequencies: {freqs}  (n = {freqs.n})")
     names = list(exact)

@@ -10,11 +10,17 @@ non-increasing order a_1 >= a_2 >= ... >= a_n:
 * First three frequencies dominant, a_2 + a_3 - a_1 > a_4 + ... + a_n: the
   sign of every signed frequency sum is decided by the first three signs,
   and the integral is a quadratic form in the frequencies over 12 a_1 a_2 a_3.
+  Its a_1 = a_2 case ("equal pair") and its n = 3 case (the classical
+  three-factor value) are kept as identities.
 
-`classify_dominance` decides which regime (if any) applies, recording each
-inequality it checked with exact sides. Every closed form here is verified
-against the enumeration engine in the test suite, and `evaluate` re-checks
-at runtime for small n.
+Each defining inequality is built by one helper, which both
+`classify_dominance` (recording it with exact sides) and the hypothesis of
+every formula use. One table maps each provenance name to its formula:
+`evaluate` takes the row its classification routes to, and
+`closed_form_values` returns every row whose hypothesis holds, which the
+CLI's `verify` compares. Every closed form is verified against the
+enumeration engine in the test suite, and `evaluate` re-checks at runtime
+for small n.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import FrequencyList, PiMultiple, frequency_list
 from .engine import integral_coefficient
@@ -43,7 +49,7 @@ __all__ = [
     "three_dominant_value",
     "three_dominant_equal_first_two",
     "three_frequency_value",
-    "factorial_frequency_family",
+    "closed_form_values",
     "evaluate",
 ]
 
@@ -107,6 +113,25 @@ def classical_frequencies(n: int) -> FrequencyList:
     return frequency_list([Fraction(1, 2 * j - 1) for j in range(1, n + 1)])
 
 
+def _first_dominance(a: tuple[Fraction, ...]) -> InequalityCheck:
+    return InequalityCheck("a1 > a2 + ... + an", a[0], sum(a[1:], start=Fraction(0)))
+
+
+def _boundary_pair(a: tuple[Fraction, ...]) -> tuple[InequalityCheck, InequalityCheck]:
+    """a1 beats the first n-2 of the others, but not all n-1 together."""
+    head = sum(a[1:-1], start=Fraction(0))
+    return (
+        InequalityCheck("a1 > a2 + ... + a(n-1)", a[0], head),
+        InequalityCheck("a2 + ... + an > a1", head + a[-1], a[0]),
+    )
+
+
+def _three_dominance(a: tuple[Fraction, ...]) -> InequalityCheck:
+    return InequalityCheck(
+        "a2 + a3 - a1 > a4 + ... + an", a[1] + a[2] - a[0], sum(a[3:], start=Fraction(0))
+    )
+
+
 def classify_dominance(freqs: FrequencyList) -> DominanceClass:
     """Decide which closed-form regime the sorted frequencies fall in.
 
@@ -117,39 +142,26 @@ def classify_dominance(freqs: FrequencyList) -> DominanceClass:
     class holds the tag is NONE and only the engine applies.
     """
     a = freqs.sorted_entries
-    n = freqs.n
-    rest = sum(a[1:], start=Fraction(0))
-
-    checks: list[InequalityCheck] = []
-    flags: list[str] = []
-
-    def record(check: InequalityCheck) -> InequalityCheck:
-        checks.append(check)
-        if check.tie:
-            flags.append(check.label)
-        return check
-
-    first = record(InequalityCheck("a1 > a2 + ... + an", a[0], rest))
-    if first.holds:
-        return DominanceClass(DominanceTag.FIRST_DOMINANT, None, tuple(flags), tuple(checks))
-
-    if n >= 3:
-        head = sum(a[1:-1], start=Fraction(0))
-        lower = record(InequalityCheck("a1 > a2 + ... + a(n-1)", a[0], head))
-        upper = record(InequalityCheck("a2 + ... + an > a1", rest, a[0]))
+    checks = [_first_dominance(a)]
+    if checks[0].holds:
+        tag = DominanceTag.FIRST_DOMINANT
+    elif freqs.n < 3:
+        tag = DominanceTag.NONE
+    else:
+        lower, upper = _boundary_pair(a)
+        checks += [lower, upper]
         if lower.holds and upper.holds:
-            return DominanceClass(
-                DominanceTag.FIRST_DOMINANT_BOUNDARY, n - 1, tuple(flags), tuple(checks)
-            )
-
-        tail = sum(a[3:], start=Fraction(0))
-        three = record(
-            InequalityCheck("a2 + a3 - a1 > a4 + ... + an", a[1] + a[2] - a[0], tail)
-        )
-        if three.holds:
-            return DominanceClass(DominanceTag.THREE_DOMINANT, None, tuple(flags), tuple(checks))
-
-    return DominanceClass(DominanceTag.NONE, None, tuple(flags), tuple(checks))
+            tag = DominanceTag.FIRST_DOMINANT_BOUNDARY
+        else:
+            three = _three_dominance(a)
+            checks.append(three)
+            tag = DominanceTag.THREE_DOMINANT if three.holds else DominanceTag.NONE
+    return DominanceClass(
+        tag,
+        freqs.n - 1 if tag is DominanceTag.FIRST_DOMINANT_BOUNDARY else None,
+        tuple(c.label for c in checks if c.tie),
+        tuple(checks),
+    )
 
 
 def _require(condition: bool, description: str) -> None:
@@ -157,25 +169,26 @@ def _require(condition: bool, description: str) -> None:
         raise ApplicabilityError(description)
 
 
+def _require_check(check: InequalityCheck, allow_tie: bool = False) -> None:
+    _require(check.holds or (allow_tie and check.tie), f"hypothesis fails: {check}")
+
+
 def first_dominant_value(freqs: FrequencyList) -> PiMultiple:
     """pi/a_1 when the largest frequency strictly dominates all the others."""
     a = freqs.sorted_entries
-    rest = sum(a[1:], start=Fraction(0))
-    _require(a[0] > rest, f"a1 > a2 + ... + an fails: {a[0]} <= {rest}")
+    _require_check(_first_dominance(a))
     return PiMultiple(1 / a[0])
 
 
 def _boundary_hypothesis(freqs: FrequencyList) -> None:
+    _require(freqs.n >= 3, f"correction needs n >= 3, got n = {freqs.n}")
+    lower, upper = _boundary_pair(freqs.sorted_entries)
     # The correction formula needs the (+1, -1, ..., -1) pattern to be the
-    # single sign vector on the wrong side. That holds with the first
+    # single sign vector on the wrong side. That holds with the lower
     # inequality relaxed to >=: an exact tie there only creates zero sums,
     # which never contribute.
-    a = freqs.sorted_entries
-    _require(freqs.n >= 3, f"correction needs n >= 3, got n = {freqs.n}")
-    head = sum(a[1:-1], start=Fraction(0))
-    rest = head + a[-1]
-    _require(a[0] >= head, f"a1 >= a2 + ... + a(n-1) fails: {a[0]} < {head}")
-    _require(rest > a[0], f"a2 + ... + an > a1 fails: {rest} <= {a[0]}")
+    _require_check(lower, allow_tie=True)
+    _require_check(upper)
 
 
 def correction_term(freqs: FrequencyList) -> CorrectionTerm:
@@ -205,13 +218,8 @@ def first_dominant_correction(freqs: FrequencyList) -> PiMultiple:
 
 
 def _three_dominant_hypothesis(freqs: FrequencyList) -> None:
-    a = freqs.sorted_entries
     _require(freqs.n >= 3, f"three-dominant form needs n >= 3, got n = {freqs.n}")
-    tail = sum(a[3:], start=Fraction(0))
-    _require(
-        a[1] + a[2] - a[0] > tail,
-        f"a2 + a3 - a1 > a4 + ... + an fails: {a[1] + a[2] - a[0]} <= {tail}",
-    )
+    _require_check(_three_dominance(freqs.sorted_entries))
 
 
 def three_dominant_value(freqs: FrequencyList) -> PiMultiple:
@@ -254,23 +262,6 @@ def three_frequency_value(freqs: FrequencyList) -> PiMultiple:
     return PiMultiple((2 * cross - squares) / (4 * a[0] * a[1] * a[2]))
 
 
-def factorial_frequency_family(n_terms: int) -> tuple[FrequencyList, PiMultiple]:
-    """Truncation of the reciprocal-factorial family a_j = 1/j!.
-
-    Returns the frequency list for j = 0 .. n_terms-1 together with
-    coefficient = 5/4 - (1/6) sum_j 1/(j!)^2, valid while the three largest
-    frequencies dominate the truncated tail (they always do for the
-    full family, whose tail sums to e - 5/2 < 1/2).
-    """
-    _require(n_terms >= 3, f"need at least three terms, got {n_terms}")
-    freqs = frequency_list([Fraction(1, math.factorial(j)) for j in range(n_terms)])
-    _three_dominant_hypothesis(freqs)
-    squares = sum(
-        (Fraction(1, math.factorial(j) ** 2) for j in range(n_terms)), start=Fraction(0)
-    )
-    return freqs, PiMultiple(Fraction(5, 4) - squares / 6)
-
-
 @dataclass(frozen=True)
 class Evaluation:
     value: PiMultiple
@@ -279,24 +270,56 @@ class Evaluation:
     verified: bool
 
 
+def _table() -> dict[str, tuple[Optional[DominanceTag], Callable[[FrequencyList], PiMultiple]]]:
+    """Provenance name -> (the class it is the route of, formula), in `verify` order.
+
+    The equal-pair and three-factor identities are special cases of the
+    three-dominant form; no class routes to them. Built per call, so every
+    formula is looked up in this module's namespace when it is used.
+    """
+    first, three = DominanceTag.FIRST_DOMINANT, DominanceTag.THREE_DOMINANT
+    return {
+        first.value: (first, first_dominant_value),
+        "first-dominant-correction": (
+            DominanceTag.FIRST_DOMINANT_BOUNDARY,
+            first_dominant_correction,
+        ),
+        three.value: (three, three_dominant_value),
+        "three-dominant-equal-pair": (None, three_dominant_equal_first_two),
+        "three-factor": (None, three_frequency_value),
+    }
+
+
+def closed_form_values(freqs: FrequencyList) -> dict[str, PiMultiple]:
+    """Every closed form whose hypothesis holds, by provenance name.
+
+    Independent of the classification: one list can meet several
+    hypotheses (1, 1, 1 meets the relaxed boundary pair, the three-dominant
+    form and both of its special cases), and all of them must agree.
+    """
+    values = {}
+    for name, (_, formula) in _table().items():
+        try:
+            values[name] = formula(freqs)
+        except ApplicabilityError:
+            continue
+    return values
+
+
 def evaluate(freqs: FrequencyList, verify: bool = True) -> Evaluation:
     """Best available route to the exact value, with provenance.
 
-    Dispatches to the matching closed form, falling back to the
+    Takes the formula the classification routes to, falling back to the
     enumeration engine when none applies. While n <= VERIFY_LIMIT (and
     `verify` is left on) a chosen closed form is recomputed through the
     engine and any disagreement raises VerificationError.
     """
     classification = classify_dominance(freqs)
-    tag = classification.tag
-    if tag is DominanceTag.FIRST_DOMINANT:
-        value, provenance = first_dominant_value(freqs), "first-dominant"
-    elif tag is DominanceTag.FIRST_DOMINANT_BOUNDARY:
-        value, provenance = first_dominant_correction(freqs), "first-dominant-correction"
-    elif tag is DominanceTag.THREE_DOMINANT:
-        value, provenance = three_dominant_value(freqs), "three-dominant"
-    else:
+    routes = {tag: (name, formula) for name, (tag, formula) in _table().items() if tag is not None}
+    if classification.tag not in routes:
         return Evaluation(integral_coefficient(freqs), "engine:mitm", classification, False)
+    provenance, formula = routes[classification.tag]
+    value = formula(freqs)
 
     verified = False
     if verify and freqs.n <= VERIFY_LIMIT:

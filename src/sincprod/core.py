@@ -90,15 +90,13 @@ def format_rational(value: Fraction) -> str:
 class FrequencyList:
     """Validated list of strictly positive rational frequencies.
 
-    `entries` keeps the order the caller gave (used for reporting),
+    `entries` keeps the order the caller gave (used for reporting), and
     `sorted_entries` holds the same values in non-increasing order (all
-    mathematics indexes this view), and `sort_order[i]` is the position in
-    `entries` that `sorted_entries[i]` came from.
+    mathematics indexes this view).
     """
 
     entries: tuple[Fraction, ...]
     sorted_entries: tuple[Fraction, ...]
-    sort_order: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -123,8 +121,7 @@ def frequency_list(values: Iterable[Fraction | int]) -> FrequencyList:
     for i, a in enumerate(entries):
         if a <= 0:
             raise ValidationError(f"frequency at index {i} is not positive: {a}")
-    order = tuple(sorted(range(len(entries)), key=lambda i: (-entries[i], i)))
-    return FrequencyList(entries, tuple(entries[i] for i in order), order)
+    return FrequencyList(entries, tuple(sorted(entries, reverse=True)))
 
 
 def load_frequency_file(path: str | Path) -> FrequencyList:

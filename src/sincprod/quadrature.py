@@ -146,9 +146,7 @@ def _near_field(
     raise ToleranceError("near-field refinement did not converge to the requested budget")
 
 
-def _edge_derivative_bound(
-    a_floats: list[float], prod_a: float, n: int, omega: float, x: float
-) -> float:
+def _edge_derivative_bound(prod_a: float, n: int, omega: float, x: float) -> float:
     # |f'(x)| <= amp(x) (omega + n/x) with amp(x) = min(1, 1/(prod_a x^n))
     amp = min(1.0, 1.0 / (prod_a * x**n))
     return amp * (omega + n / x)
@@ -248,8 +246,8 @@ def _far_field(
             2.0
             * (w * w / 24.0)
             * (
-                _edge_derivative_bound(a_floats, prod_a, n, omega, x_lo)
-                + _edge_derivative_bound(a_floats, prod_a, n, omega, x_hi)
+                _edge_derivative_bound(prod_a, n, omega, x_lo)
+                + _edge_derivative_bound(prod_a, n, omega, x_hi)
             )
         )
         estimate = abs(current - previous) + em

@@ -115,6 +115,20 @@ def three_dominant_list(rng: random.Random, n: int) -> FrequencyList:
     return fl
 
 
+def factorial_frequency_family(n_terms: int) -> tuple[FrequencyList, Fraction]:
+    """a_j = 1/j! for j = 0 .. n_terms-1, and its three-dominant closed form.
+
+    coefficient = 5/4 - (1/6) sum_j 1/(j!)^2, valid while the three largest
+    frequencies dominate the truncated tail (they always do for the full
+    family, whose tail sums to e - 5/2 < 1/2).
+    """
+    assert n_terms >= 3
+    freqs = frequency_list([Fraction(1, math.factorial(j)) for j in range(n_terms)])
+    assert classify_dominance(freqs).tag is DominanceTag.THREE_DOMINANT
+    squares = sum((a * a for a in freqs.entries), start=Fraction(0))
+    return freqs, Fraction(5, 4) - squares / 6
+
+
 def arbitrary_list(rng: random.Random, n: int, max_num: int = 100, max_den: int = 100) -> FrequencyList:
     """Unconstrained positive list; often repeats entries so zero sums occur."""
     values = [sample_fraction(rng, max_num, max_den) for _ in range(n)]

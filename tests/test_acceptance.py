@@ -16,11 +16,13 @@ from sincprod import (
     classical_frequencies,
     correction_term,
     crosscheck,
-    first_dominant_correction,
-    first_dominant_value,
     frequency_list,
     integral_coefficient,
     signed_moment_sum,
+)
+from sincprod.closed_forms import (
+    first_dominant_correction,
+    first_dominant_value,
     three_dominant_equal_first_two,
     three_dominant_value,
     three_frequency_value,

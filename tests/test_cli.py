@@ -175,11 +175,22 @@ class TestVerify:
         assert "35/48" in out
 
     def test_listing_has_two_engine_rows(self, capsys):
-        code, out, _ = run(capsys, "verify", "1", "1", "1")
-        assert code == 0
-        listing = out.split("pairwise agreement:")[0]
-        engine_rows = [line.split()[:2] for line in listing.splitlines() if "engine:" in line]
-        assert engine_rows == [["[1]", "engine:brute"], ["[2]", "engine:mitm"]]
+        # the two engine rows, then every closed form whose hypothesis holds, in table order
+        three_dominant = ["three-dominant", "three-dominant-equal-pair", "three-factor"]
+        cases = [
+            (["1", "1", "1"], ["first-dominant-correction", *three_dominant]),
+            (["1", "1", "1/10"], ["first-dominant-correction", *three_dominant]),
+            (["3", "2", "2"], ["first-dominant-correction", "three-dominant", "three-factor"]),
+            ([f"1/{2 * j - 1}" for j in range(1, 9)], ["first-dominant-correction"]),
+        ]
+        for freqs, closed_forms in cases:
+            code, out, _ = run(capsys, "verify", *freqs)
+            assert code == 0
+            listing = out.split("pairwise agreement:")[0].splitlines()[1:]
+            names = ["engine:brute", "engine:mitm", *closed_forms]
+            assert [line.split()[:2] for line in listing] == [
+                [f"[{i}]", name] for i, name in enumerate(names, 1)
+            ]
 
     def test_single_frequency_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "1")
@@ -246,3 +257,19 @@ class TestLazyImports:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             sincprod.no_such_name
+
+
+class TestShowBreak:
+    def test_reports_the_n8_deficit(self):
+        root = Path(sincprod.__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "show_break.py"), "9"],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "n =  8  first-dominant-correction    deficit 1.471e-11 * pi" in lines
+        assert "  1 - 1/3 - 1/5 - ... - 1/15 = -982/45045  (< 0, with N = 7)" in lines

@@ -12,20 +12,24 @@ from sincprod import (
     ValidationError,
     classical_frequencies,
     classify_dominance,
+    closed_form_values,
     correction_term,
     evaluate,
-    factorial_frequency_family,
-    first_dominant_correction,
-    first_dominant_value,
     frequency_list,
     integral_coefficient,
+)
+from sincprod import closed_forms
+from sincprod.closed_forms import (
+    VERIFY_LIMIT,
+    first_dominant_correction,
+    first_dominant_value,
     three_dominant_equal_first_two,
     three_dominant_value,
     three_frequency_value,
 )
-from sincprod.closed_forms import VERIFY_LIMIT
 from support import (
     boundary_list,
+    factorial_frequency_family,
     first_dominant_list,
     reference_coefficient,
     three_dominant_list,
@@ -229,26 +233,23 @@ class TestThreeFrequencyValue:
 
 
 class TestFactorialFamily:
+    # the reciprocal-factorial identity of the three-dominant form
     def test_three_terms(self):
-        freqs, value = factorial_frequency_family(3)
+        freqs, coefficient = factorial_frequency_family(3)
         assert freqs.entries == (Fraction(1), Fraction(1), Fraction(1, 2))
-        assert value.coefficient == Fraction(7, 8)
+        assert coefficient == Fraction(7, 8)
 
     def test_five_terms(self):
-        _, value = factorial_frequency_family(5)
+        _, coefficient = factorial_frequency_family(5)
         expected = Fraction(5, 4) - Fraction(1, 6) * (
             1 + 1 + Fraction(1, 4) + Fraction(1, 36) + Fraction(1, 576)
         )
-        assert value.coefficient == expected
+        assert coefficient == expected
 
     def test_eight_terms_matches_engine(self):
-        freqs, value = factorial_frequency_family(8)
-        assert value.coefficient == three_dominant_value(freqs).coefficient
-        assert value.coefficient == integral_coefficient(freqs).coefficient
-
-    def test_rejects_short(self):
-        with pytest.raises(ApplicabilityError):
-            factorial_frequency_family(2)
+        freqs, coefficient = factorial_frequency_family(8)
+        assert coefficient == three_dominant_value(freqs).coefficient
+        assert coefficient == integral_coefficient(freqs).coefficient
 
 
 class TestEvaluate:
@@ -292,6 +293,38 @@ class TestEvaluate:
         assert closed_form.n == VERIFY_LIMIT
         assert result.provenance == "first-dominant"
         assert result.verified
+
+
+class TestFormulaTable:
+    FORMULAS = (
+        "first_dominant_value",
+        "first_dominant_correction",
+        "three_dominant_value",
+        "three_dominant_equal_first_two",
+        "three_frequency_value",
+    )
+
+    def test_evaluate_calls_only_its_route_at_call_time(self, monkeypatch):
+        # a wrapper set on the module attribute after import sees the call
+        calls = []
+        for name in self.FORMULAS:
+
+            def traced(freqs, formula=getattr(closed_forms, name), name=name):
+                calls.append(name)
+                return formula(freqs)
+
+            monkeypatch.setattr(closed_forms, name, traced)
+        evaluate(classical_frequencies(8))
+        evaluate(fl(1, 1, 1, "1/2"))
+        assert calls == ["first_dominant_correction", "three_dominant_value"]
+
+    @pytest.mark.parametrize("freqs", [fl(1, 1, 1), fl(2, 1, "1/2"), classical_frequencies(8)])
+    def test_values_include_the_route(self, freqs):
+        result = evaluate(freqs)
+        assert closed_form_values(freqs)[result.provenance] == result.value
+
+    def test_values_empty_without_hypothesis(self):
+        assert closed_form_values(fl(1, 1)) == {}
 
 
 class TestRandomizedAgainstEngine:

@@ -185,6 +185,18 @@ class TestEngineLaws:
         assert integral_coefficient(scaled).coefficient == integral_coefficient(fl).coefficient / c
 
     @settings(max_examples=40, deadline=None)
+    @given(st.lists(positive_fractions, min_size=1, max_size=8))
+    def test_proven_bound(self, values):
+        q = integral_coefficient(frequency_list(values)).coefficient
+        assert 0 < q <= 1 / max(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_lists, positive_fractions)
+    def test_appending_never_increases(self, values, extra):
+        before = integral_coefficient(frequency_list(values)).coefficient
+        assert integral_coefficient(frequency_list([*values, extra])).coefficient <= before
+
+    @settings(max_examples=40, deadline=None)
     @given(small_lists)
     def test_coefficient_matches_reference(self, values):
         fl = frequency_list(values)
