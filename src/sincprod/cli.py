@@ -4,13 +4,17 @@ Subcommands:
     integrate     exact pi-coefficient of a frequency list
     classify      dominance classification with exact inequality sides
     classic-table the 1, 1/3, 1/5, ... family up to a chosen length
-    verify        brute force vs meet-in-the-middle vs closed forms vs quadrature
+    verify        brute force vs meet-in-the-middle vs closed forms vs the
+                  sampling-theorem quadrature oracle; the brute row is
+                  skipped above BRUTE_MAX_N frequencies (2^n sign patterns)
 
 `integrate` uses the closed form when one applies, else meet-in-the-middle;
 `--strategy brute|mitm` forces an engine strategy instead.
 
 Exit codes: 0 success, 1 input error, 2 verification failure (routes
-disagree, the oracle disagrees, or a result breaks 0 < q <= 1/a_1).
+disagree, the oracle disagrees, or a result breaks 0 < q <= 1/a_1),
+3 the oracle could not certify the value (its cost is over budget, or a
+number it needs is outside double-precision range).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,7 +36,10 @@ from .core import (
     parse_rational,
 )
 from .engine import EnumerationStrategy, integral_coefficient
-from .errors import SincprodError, VerificationError
+from .errors import SincprodError, ToleranceError, VerificationError
+
+# brute force visits 2^n sign patterns: about 1.3 s at n = 20, doubling per step
+BRUTE_MAX_N = 20
 
 @dataclasses.dataclass
 class OutputRecord:
@@ -146,28 +154,34 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     freqs = _freqs_from_args(args)
     if freqs.n < 2:
         raise SincprodError("verify needs at least two frequencies (quadrature excludes n = 1)")
+    if not math.isfinite(args.tolerance):
+        raise SincprodError(f"--tolerance must be a finite number of at least 1e-10, got {args.tolerance}")
     if args.tolerance < 1e-10:
         raise SincprodError(f"--tolerance must be at least 1e-10, got {args.tolerance}")
 
     exact: dict[str, Fraction] = {}
     for strategy in EnumerationStrategy:
-        exact[f"engine:{strategy.value}"] = integral_coefficient(freqs, strategy).coefficient
+        if strategy is not EnumerationStrategy.BRUTE_FORCE or freqs.n <= BRUTE_MAX_N:
+            exact[f"engine:{strategy.value}"] = integral_coefficient(freqs, strategy).coefficient
     exact.update((name, value.coefficient) for name, value in closed_form_values(freqs).items())
 
     print(f"frequencies: {freqs}  (n = {freqs.n})")
-    names = list(exact)
-    width = max(len(name) for name in names)
-    for i, name in enumerate(names, 1):
-        print(f"  [{i}] {name:<{width}}  {format_rational(exact[name])}")
+    listed = list(exact) if freqs.n <= BRUTE_MAX_N else ["engine:brute", *exact]
+    index = {name: i for i, name in enumerate(listed, 1)}
+    width = max(len(name) for name in listed)
+    for name in listed:
+        shown = format_rational(exact[name]) if name in exact else f"skipped (2^{freqs.n} sign patterns)"
+        print(f"  [{index[name]}] {name:<{width}}  {shown}")
 
+    names = list(exact)
     print("pairwise agreement:")
-    header = "  ".join(f"[{i}]" for i in range(1, len(names) + 1))
+    header = "  ".join(f"[{index[name]}]" for name in names)
     print(f"  {'':{width + 4}}  {header}")
-    for i, row in enumerate(names, 1):
+    for row in names:
         cells = "  ".join(
             f"{'=' if exact[row] == exact[col] else 'X':^3}" for col in names
         )
-        print(f"  [{i}] {row:<{width}}  {cells}")
+        print(f"  [{index[row]}] {row:<{width}}  {cells}")
 
     mismatches = [
         (x, y)
@@ -184,10 +198,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     from .quadrature import crosscheck  # numpy and scipy load only for this command
 
-    report = crosscheck(freqs, args.tolerance)
+    try:
+        report = crosscheck(freqs, args.tolerance)
+    except ToleranceError as exc:
+        print(f"could not certify: {exc}", file=sys.stderr)
+        return 3
     quad = report.quadrature
     print(
-        f"quadrature: {quad.value!r}  vs exact {report.exact_value!r}\n"
+        f"quadrature ({quad.mode}, {quad.samples} samples): {quad.value!r}  vs exact {report.exact_value!r}\n"
         f"  |difference| = {report.difference:.3e}  <=  bound {quad.total_error_bound:.3e}: "
         f"{'pass' if report.passed else 'FAIL'}"
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sincprod
-from sincprod import parse_rational
+from sincprod import frequency_list, integral_coefficient, parse_rational
 from sincprod.cli import main
 
 I8_STRING = str(1 - Fraction(6879714958723010531, 467807924720320453655260875000))
@@ -201,13 +201,45 @@ class TestVerify:
         assert code == 1
         assert "1e-10" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected_up_front(self, capsys, tolerance):
+        code, out, err = run(capsys, "verify", "1", "1", "--tolerance", tolerance)
+        assert (code, out) == (1, "")
+        assert "1e-10" in err
+
     @pytest.mark.parametrize("tiny", [True, False])
-    def test_frequency_outside_double_range_exits_one(self, capsys, tiny):
+    def test_frequency_outside_double_range_exits_three(self, capsys, tiny):
         big = "1" + "0" * 400
         code, out, err = run(capsys, "verify", f"1/{big}" if tiny else big, "1")
-        assert code == 1
+        assert code == 3
         assert "exact agreement: all" in out
-        assert err.startswith("error: ") and "double-precision range" in err
+        assert err.startswith("could not certify: ") and "double-precision range" in err
+
+    def test_over_budget_oracle_exits_three(self, capsys):
+        code, out, err = run(capsys, "verify", "1", "1/" + "1" * 30)
+        assert code == 3
+        assert "exact agreement: all" in out and "quadrature" not in out
+        assert err.startswith("could not certify: ") and "samples" in err
+
+    def test_brute_row_skipped_above_limit(self, capsys):
+        primes = [p for p in range(2, 80) if all(p % d for d in range(2, p))][:21]
+        code, out, _ = run(capsys, "verify", *(f"1/{p}" for p in primes))
+        assert code == 0
+        listing, table = out.split("pairwise agreement:")
+        assert "  [1] engine:brute  skipped (2^21 sign patterns)" in listing.splitlines()
+        assert "engine:brute" not in table and "[1]" not in table
+        assert "exact agreement: all" in table and table.rstrip().endswith(": pass")
+
+    def test_output_the_benchmark_gate_parses(self, capsys):
+        # perfbench's cli-desk gate reads these three lines of a 3-to-5-term verify
+        for freqs in (["1", "1/3", "1/5"], ["3/2", "2/3", "1/2", "1/7"], ["7/5", "1", "5/6", "1/3", "2/9"]):
+            code, out, _ = run(capsys, "verify", *freqs, "--tolerance", "1e-9")
+            assert code == 0
+            lines = out.splitlines()
+            brute = next(line for line in lines if line.lstrip().startswith("[1]") and "engine:brute" in line)
+            assert Fraction(brute.split()[-1]) == integral_coefficient(frequency_list(map(parse_rational, freqs))).coefficient
+            assert any(line.startswith("exact agreement: all") for line in lines)
+            assert any(line.rstrip().endswith(": pass") for line in lines)
 
 
 class TestArgparseBehavior:

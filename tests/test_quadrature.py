@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sincprod import (
@@ -84,7 +85,7 @@ class TestQuadratureEstimate:
         result = quadrature_estimate(fl(1, "1/3"), 1e-8)
         assert abs(result.value - math.pi) <= 1e-8
         assert result.total_error_bound <= 1e-8
-        assert result.total_error_bound == result.tail_bound + result.discretization_error_estimate
+        assert result.total_error_bound == result.tail_bound + result.rounding_bound
         assert result.total_error_bound >= result.tail_bound >= 0
 
     def test_three_equal_factors(self):
@@ -111,15 +112,40 @@ class TestQuadratureEstimate:
             ((10**400, 1), "frequency is about 1e400"),
             ((Fraction(1, 10**200), Fraction(1, 10**200)), "product is about 1e-400"),
             ((10**200, 10**200), "product is about 1e400"),
-            ((Fraction(1, 10**150), Fraction(1, 10**150)), "window"),
-            ((10**300, Fraction(1, 10**300)), "far field"),
-            ((1, 1, Fraction(1, 10**100)), "near field"),
-            ((1, Fraction(10**400, 10**400 + 1)), "far field"),
+            ((Fraction(1, 10**150), Fraction(1, 10**150)), "exceeds target"),
+            ((10**300, Fraction(1, 10**300)), "samples"),
+            ((1, 1, Fraction(1, 10**100)), "samples"),
+            ((1, Fraction(10**400, 10**400 + 1)), "samples"),
         ],
     )
     def test_rejects_values_outside_double_range(self, values, match):
         with pytest.raises(ToleranceError, match=match):
             quadrature_estimate(fl(*values), 1e-8)
+
+    def test_over_budget_names_its_cost_without_allocating(self):
+        freqs = fl(1, Fraction(10**400, 10**400 + 1))  # M = 2*10^400 + 2, direct K about 1.3e8
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceError, match=r"about 10\^8\.1 samples"):
+                quadrature_estimate(freqs, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_periodic_mode_samples_one_period(self):
+        result = quadrature_estimate(fl(1, "1/10007"), 1e-10)
+        assert (result.mode, result.samples, result.tail_bound) == ("periodic", 10008, 0.0)
+        assert result.R == pytest.approx(2 * math.pi * 10007, rel=1e-15)
+        assert 0 < result.total_error_bound == result.rounding_bound <= 1e-10
+
+    def test_direct_mode_spends_half_the_target_on_the_tail(self):
+        freqs = classical_frequencies(8)
+        result = quadrature_estimate(freqs, 1e-10)
+        assert result.mode == "direct" and 1 <= result.samples < 1000
+        assert result.tail_bound == tail_bound(freqs, result.R) <= 0.5e-10
+        h = result.R / result.samples
+        assert h * sum(float(a) for a in freqs.entries) < 2 * math.pi
 
     def test_tail_bound_rejects_product_outside_double_range(self):
         with pytest.raises(ToleranceError):
@@ -149,3 +175,19 @@ class TestCrosscheck:
         report = crosscheck(fl(1, 1, 1), 1e-8)
         assert report.exact_coefficient == Fraction(3, 4)
         assert report.exact_value == pytest.approx(3 * math.pi / 4, abs=1e-15)
+
+    @pytest.mark.parametrize("values,target", [((1, "1/10007"), 1e-10), ((1, "1/1000003"), 1e-6)])
+    def test_widely_spread_pairs(self, values, target):
+        report = crosscheck(fl(*values), target)
+        assert report.passed and report.quadrature.mode == "periodic"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)), min_size=2, max_size=6
+        )
+    )
+    def test_random_lists_certify(self, values):
+        report = crosscheck(frequency_list(values), 1e-9)
+        event(report.quadrature.mode)
+        assert report.passed, (values, report)
