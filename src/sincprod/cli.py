@@ -194,9 +194,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for x, y in mismatches:
             print(f"  mismatch: {x} != {y}", file=sys.stderr)
         return 2
-    print(f"exact agreement: all {len(names)} values identical")
+    if len(names) == 1:
+        print(
+            f"exact agreement: only one exact value ({names[0]}); "
+            "the quadrature oracle is the only independent check"
+        )
+    else:
+        print(f"exact agreement: all {len(names)} values identical")
 
-    from .quadrature import crosscheck  # numpy and scipy load only for this command
+    from .quadrature import crosscheck  # numpy loads only for this command
 
     try:
         report = crosscheck(freqs, args.tolerance)

@@ -22,7 +22,8 @@ Two ways to take the sum; the cheaper one by sample count is used:
   (k w_j mod M). Grouping k = r + m M, the infinite sum is
   sum_{r=1}^{M-1} f(r h) z_r with z_r = (r/M)^n zeta(n, r/M), a Hurwitz
   zeta value taken as 1 + (r/M)^n zeta(n, 1 + r/M) so that large n log M
-  cannot overflow. M - 1 samples, no truncation, no discretization.
+  cannot overflow (the kernel is described below). M - 1 samples, no
+  truncation, no discretization.
 * direct - h just below 2 pi / omega and 1 <= k <= K. Since
   |f(x)| <= 1 / (prod_j a_j |x|^n), the samples past K add at most
   tail_bound(freqs, K h). K samples.
@@ -34,14 +35,28 @@ _ULPS_PER_FACTOR = 64 ulps of its envelope min(1, 1/(a_j k h)), times
 max(1, a_1 k h) in direct mode, where arguments round in proportion to
 their size. The 64 ulps cover argument rounding (6 pi ulps after the exact
 reduction, 6 in direct mode), numpy's sin (taken as 2 ulps, 0.5 measured),
-quotient and product, and in periodic mode scipy's zeta on [1, 2] (taken
-as 16 ulps, 7.7 measured against mpmath) with its argument and power. So
+quotient and product, and in periodic mode the Hurwitz zeta kernel on
+[1, 2] (taken as 16 ulps: truncation below 0.35 ulp, proven below, and
+rounding 2.9 ulps measured against mpmath) with its argument and power. So
 rounding bound = 2 h (ulp of the sum + n * 64 ulps of the envelope sum)
 + 6 ulps of the value + n * 2^-1074 per sample for underflow.
 
 Both costs are Python numbers (M can exceed 10^400), compared before any
 array exists; past MAX_SAMPLES the oracle raises ToleranceError naming
 the cost.
+
+Hurwitz zeta kernel: zeta(s, q) for integer s >= 2 and q in [1, 2] by
+Euler-Maclaurin summation of x^-s from q, with N = 9 direct terms,
+
+    sum_{k<N} (q+k)^-s + (q+N)^(1-s)/(s-1) + (q+N)^-s/2
+        + sum_{j=1..8} B_2j/(2j)! * s(s+1)...(s+2j-2) * (q+N)^(-s-2j+1).
+
+x^-s is completely monotone, so the remainder has the sign of the first
+omitted term, B_18/18! (s)_17 (q+N)^(-s-17), and is smaller in size. As
+zeta(s, q) > q^-s, that term is below |B_18|/18! (s)_17 (q/(q+N))^s
+(q+N)^-17 <= |B_18|/18! (s)_17 (2/11)^s 10^-17 of the value. This bound
+grows by (s+17)/s * 2/11 from s to s + 1, so it is largest at s = 4,
+where it is 3.8e-17 = 0.35 ulp.
 """
 
 from __future__ import annotations
@@ -51,7 +66,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .core import FrequencyList
 from .engine import integral_coefficient
@@ -70,6 +84,12 @@ MIN_TARGET = 1e-12
 MAX_SAMPLES = 2_000_000
 _ULP = 2.0**-53
 _ULPS_PER_FACTOR = 64
+_ZETA_DIRECT_TERMS = 9
+# B_2j / (2j)! for j = 1..8, the Euler-Maclaurin coefficients of the zeta kernel
+_ZETA_EM_COEFFICIENTS = tuple(
+    float(Fraction(b) / math.factorial(2 * j))
+    for j, b in enumerate(("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510"), 1)
+)
 
 
 def _as_double(value: Fraction, what: str) -> float:
@@ -132,6 +152,24 @@ class CrosscheckReport:
     exact_value: float
     difference: float
     passed: bool
+
+
+def _hurwitz_zeta(s: int, q: np.ndarray) -> np.ndarray:
+    """zeta(s, q) for integer s >= 2 and every q in [1, 2]; see the module docstring."""
+    a = q + _ZETA_DIRECT_TERMS
+    power = a**-s
+    inverse_square = 1.0 / (a * a)
+    scaled = power / a  # (q+N)^(-s-2j+1) at j = 1
+    rising = float(s)  # s(s+1)...(s+2j-2) at j = 1
+    corrections = np.zeros_like(q)
+    for j, coefficient in enumerate(_ZETA_EM_COEFFICIENTS, 1):
+        corrections += coefficient * rising * scaled
+        scaled *= inverse_square
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    total = corrections + power / 2 + a * power / (s - 1)
+    for k in reversed(range(_ZETA_DIRECT_TERMS)):  # smallest parts first
+        total += (q + k) ** -s
+    return total
 
 
 def _periodic_samples(weights: list[int], M: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -16,8 +17,15 @@ from sincprod import (
     quadrature_estimate,
     tail_bound,
 )
-from sincprod.quadrature import _integrand_grid
+from sincprod.quadrature import (
+    _ULP,
+    _ZETA_DIRECT_TERMS,
+    _ZETA_EM_COEFFICIENTS,
+    _hurwitz_zeta,
+    _integrand_grid,
+)
 
+ZETA_ULPS = 16  # the zeta kernel's share of _ULPS_PER_FACTOR in the quadrature docstring
 I8_COEFFICIENT = 1 - Fraction(6879714958723010531, 467807924720320453655260875000)
 
 
@@ -53,6 +61,38 @@ class TestIntegrand:
     def test_even_to_the_last_bit(self, x):
         freqs = fl(1, "1/3", "2/7")
         assert integrand(freqs, x) == integrand(freqs, -x)
+
+
+class TestHurwitzZetaKernel:
+    @pytest.mark.parametrize("s", [*range(2, 13), 20, 40])
+    def test_matches_mpmath_within_its_share(self, s):
+        q = np.linspace(1.0, 2.0, 129)  # both endpoints, steps of 2^-7
+        values = _hurwitz_zeta(s, q)
+        with mpmath.workdps(40):
+            for x, value in zip(q.tolist(), values.tolist()):
+                exact = mpmath.zeta(s, x)
+                assert abs(value - exact) <= ZETA_ULPS * _ULP * exact, (s, x)
+
+    def test_coefficients_are_bernoulli_numbers(self):
+        for j, coefficient in enumerate(_ZETA_EM_COEFFICIENTS, 1):
+            assert coefficient == float(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j))
+
+    def test_truncation_is_below_one_ulp(self):
+        N, omitted = _ZETA_DIRECT_TERMS, 2 * len(_ZETA_EM_COEFFICIENTS) + 2
+        with mpmath.workdps(40):
+            c = abs(mpmath.bernoulli(omitted)) / mpmath.factorial(omitted)
+
+            def first_omitted(s, q):  # B_2J+2 / (2J+2)! * s(s+1)...(s+2J) * (q+N)^(-s-2J-1), in size
+                return c * mpmath.rf(s, omitted - 1) * mpmath.mpf(q + N) ** (1 - s - omitted)
+
+            def bound(s):  # the docstring's bound on first_omitted / zeta(s, q) over q in [1, 2]
+                return c * mpmath.rf(s, omitted - 1) * (mpmath.mpf(2) / (N + 2)) ** s / mpmath.mpf(N + 1) ** (omitted - 1)
+
+            assert first_omitted(2, 1) < _ULP * mpmath.zeta(2, 1)
+            # past its peak each step multiplies the bound by (s+2J+1)/s * 2/(N+2) < 1
+            peak = max(range(2, 100), key=bound)
+            assert peak == 4 and bound(peak) < _ULP
+            assert all(bound(s + 1) < bound(s) for s in range(peak, 100))
 
 
 class TestTailBound:
