@@ -4,9 +4,11 @@ Subcommands:
     integrate     exact pi-coefficient of a frequency list
     classify      dominance classification with exact inequality sides
     classic-table the 1, 1/3, 1/5, ... family up to a chosen length
-    verify        brute force vs meet-in-the-middle vs closed forms vs the
-                  sampling-theorem quadrature oracle; the brute row is
-                  skipped above BRUTE_MAX_N frequencies (2^n sign patterns)
+    verify        brute force vs meet-in-the-middle vs closed forms, then the
+                  sampling-theorem quadrature oracle against the engine:mitm
+                  row already listed; the brute row is skipped above
+                  BRUTE_MAX_N frequencies (2^n sign patterns), and no
+                  pairwise table is printed when one exact value is left
 
 `integrate` uses the closed form when one applies, else meet-in-the-middle;
 `--strategy brute|mitm` forces an engine strategy instead.
@@ -159,36 +161,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.tolerance < 1e-10:
         raise SincprodError(f"--tolerance must be at least 1e-10, got {args.tolerance}")
 
-    exact: dict[str, Fraction] = {}
+    rows: dict[str, Optional[Fraction]] = {}  # in listing order; None marks a skipped row
     for strategy in EnumerationStrategy:
-        if strategy is not EnumerationStrategy.BRUTE_FORCE or freqs.n <= BRUTE_MAX_N:
-            exact[f"engine:{strategy.value}"] = integral_coefficient(freqs, strategy).coefficient
-    exact.update((name, value.coefficient) for name, value in closed_form_values(freqs).items())
+        skip = strategy is EnumerationStrategy.BRUTE_FORCE and freqs.n > BRUTE_MAX_N
+        rows[f"engine:{strategy.value}"] = None if skip else integral_coefficient(freqs, strategy).coefficient
+    rows.update((name, value.coefficient) for name, value in closed_form_values(freqs).items())
 
     print(f"frequencies: {freqs}  (n = {freqs.n})")
-    listed = list(exact) if freqs.n <= BRUTE_MAX_N else ["engine:brute", *exact]
-    index = {name: i for i, name in enumerate(listed, 1)}
-    width = max(len(name) for name in listed)
-    for name in listed:
-        shown = format_rational(exact[name]) if name in exact else f"skipped (2^{freqs.n} sign patterns)"
+    index = {name: i for i, name in enumerate(rows, 1)}
+    width = max(map(len, rows))
+    for name, value in rows.items():
+        shown = f"skipped (2^{freqs.n} sign patterns)" if value is None else format_rational(value)
         print(f"  [{index[name]}] {name:<{width}}  {shown}")
 
-    names = list(exact)
-    print("pairwise agreement:")
-    header = "  ".join(f"[{index[name]}]" for name in names)
-    print(f"  {'':{width + 4}}  {header}")
-    for row in names:
-        cells = "  ".join(
-            f"{'=' if exact[row] == exact[col] else 'X':^3}" for col in names
-        )
-        print(f"  [{index[row]}] {row:<{width}}  {cells}")
-
-    mismatches = [
-        (x, y)
-        for i, x in enumerate(names)
-        for y in names[i + 1 :]
-        if exact[x] != exact[y]
-    ]
+    names = [name for name, value in rows.items() if value is not None]
+    mismatches = []
+    if len(names) > 1:
+        print("pairwise agreement:")
+        header = "  ".join(f"[{index[name]}]" for name in names)
+        print(f"  {'':{width + 4}}  {header}")
+        for i, row in enumerate(names):
+            agree = [rows[row] == rows[col] for col in names]
+            mismatches += [(row, names[j]) for j in range(i + 1, len(names)) if not agree[j]]
+            cells = "  ".join(f"{'=' if same else 'X':^3}" for same in agree)
+            print(f"  [{index[row]}] {row:<{width}}  {cells}")
     if mismatches:
         print("exact agreement: FAILED", file=sys.stderr)
         for x, y in mismatches:
@@ -202,14 +198,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"exact agreement: all {len(names)} values identical")
 
-    from .quadrature import crosscheck  # numpy loads only for this command
+    from . import quadrature  # numpy loads only here; attributes are read per call, so wrappers apply
 
     try:
-        report = crosscheck(freqs, args.tolerance)
+        quad = quadrature.quadrature_estimate(freqs, args.tolerance)
     except ToleranceError as exc:
         print(f"could not certify: {exc}", file=sys.stderr)
         return 3
-    quad = report.quadrature
+    report = quadrature._compare(quad, rows["engine:mitm"])
     print(
         f"quadrature ({quad.mode}, {quad.samples} samples): {quad.value!r}  vs exact {report.exact_value!r}\n"
         f"  |difference| = {report.difference:.3e}  <=  bound {quad.total_error_bound:.3e}: "

@@ -146,7 +146,7 @@ def signed_moment_sum(
         total = _moment_sum_brute(weights, n)
     elif strategy is EnumerationStrategy.MEET_IN_MIDDLE:
         total = _moment_sum_mitm(weights, n)
-    else:  # pragma: no cover - enum is closed
+    else:
         raise ValidationError(f"unknown strategy {strategy!r}")
     return Fraction(total, scale ** (n - 1))
 

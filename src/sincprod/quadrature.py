@@ -68,7 +68,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import FrequencyList
-from .engine import integral_coefficient
+from .engine import _integer_weights, integral_coefficient
 from .errors import ToleranceError, ValidationError
 
 __all__ = [
@@ -222,8 +222,7 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
     h = _as_double(2 * Fraction(math.pi) / omega, "the sampling step 2*pi/omega") * (1 - 2.0**-50)
     log_k = (math.log10(4 / ((n - 1) * target)) - math.log10(prod_a)) / (n - 1) - math.log10(h)
     K = math.floor(10**log_k) + 1 if log_k < 18 else math.inf  # tail_bound(freqs, K*h) <= target/2
-    L = math.lcm(*(a.denominator for a in freqs.sorted_entries))
-    weights = [a.numerator * (L // a.denominator) for a in freqs.sorted_entries]
+    weights, L = _integer_weights(freqs)
     M = sum(weights) + 1
 
     cost = min(M - 1, K)
@@ -253,12 +252,15 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
     return QuadratureResult(value, rounding, tail, R, mode, samples)
 
 
-def crosscheck(freqs: FrequencyList, target_abs_error: float) -> CrosscheckReport:
-    """Compare the numeric estimate against the exact engine value."""
-    quad = quadrature_estimate(freqs, target_abs_error)
-    exact = integral_coefficient(freqs).coefficient
+def _compare(quad: QuadratureResult, exact: Fraction) -> CrosscheckReport:
+    """Check an estimate against an exact coefficient q: |value - q*pi| within the bound."""
     exact_value = float(exact) * math.pi
     difference = abs(quad.value - exact_value)
     # 4 ulps for float(q), math.pi and their product; subtracting two nearby doubles is exact
     passed = difference <= quad.total_error_bound + 4 * _ULP * exact_value
     return CrosscheckReport(quad, exact, exact_value, difference, passed)
+
+
+def crosscheck(freqs: FrequencyList, target_abs_error: float) -> CrosscheckReport:
+    """Compare the numeric estimate against the exact engine value."""
+    return _compare(quadrature_estimate(freqs, target_abs_error), integral_coefficient(freqs).coefficient)

@@ -1,17 +1,21 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sincprod
-from sincprod import frequency_list, integral_coefficient, parse_rational
+from sincprod import PiMultiple, closed_forms, engine, frequency_list, integral_coefficient, parse_rational
 from sincprod.cli import main
 
 I8_STRING = str(1 - Fraction(6879714958723010531, 467807924720320453655260875000))
+# 21 reciprocal primes: one past the brute-force row's limit, and no closed form applies
+RECIPROCAL_PRIMES_21 = [f"1/{p}" for p in range(2, 80) if all(p % d for d in range(2, p))][:21]
 
 
 def run(capsys, *argv):
@@ -222,18 +226,68 @@ class TestVerify:
         assert err.startswith("could not certify: ") and "samples" in err
 
     def test_brute_row_skipped_above_limit(self, capsys):
-        primes = [p for p in range(2, 80) if all(p % d for d in range(2, p))][:21]
-        code, out, _ = run(capsys, "verify", *(f"1/{p}" for p in primes))
+        code, out, _ = run(capsys, "verify", *RECIPROCAL_PRIMES_21)
         assert code == 0
-        listing, table = out.split("pairwise agreement:")
-        assert "  [1] engine:brute  skipped (2^21 sign patterns)" in listing.splitlines()
-        assert "engine:brute" not in table and "[1]" not in table
-        assert "exact agreement: all" not in table
-        assert (
+        listing, oracle = out.split(
             "exact agreement: only one exact value (engine:mitm); "
-            "the quadrature oracle is the only independent check"
-        ) in table.splitlines()
-        assert table.rstrip().endswith(": pass")
+            "the quadrature oracle is the only independent check\n"
+        )
+        rows = listing.splitlines()[1:]
+        assert rows[0] == "  [1] engine:brute  skipped (2^21 sign patterns)"
+        assert [row.split()[:2] for row in rows] == [["[1]", "engine:brute"], ["[2]", "engine:mitm"]]
+        # one exact value: no 1 x 1 table comparing engine:mitm with itself
+        assert "pairwise agreement:" not in out and "exact agreement: all" not in out
+        assert oracle.startswith("quadrature (") and oracle.rstrip().endswith(": pass")
+
+    def test_closed_form_mismatch_exits_two(self, capsys, monkeypatch):
+        original = closed_forms.three_dominant_value
+        monkeypatch.setattr(
+            closed_forms, "three_dominant_value", lambda freqs: PiMultiple(original(freqs).coefficient + Fraction(1, 7))
+        )
+        code, out, err = run(capsys, "verify", "1", "1", "1")
+        assert code == 2
+        assert "quadrature" not in out
+        assert err.splitlines() == ["exact agreement: FAILED"] + [
+            f"  mismatch: {x} != {y}"
+            for x, y in [
+                ("engine:brute", "three-dominant"),
+                ("engine:mitm", "three-dominant"),
+                ("first-dominant-correction", "three-dominant"),
+                ("three-dominant", "three-dominant-equal-pair"),
+                ("three-dominant", "three-factor"),
+            ]
+        ]
+
+    def test_oracle_disagreement_exits_two(self, capsys, monkeypatch):
+        quadrature = sincprod.quadrature
+        original = quadrature.quadrature_estimate
+
+        def shifted(freqs, target):
+            # the estimate moves 2 * target away, past its own bound (at most target)
+            quad = original(freqs, target)
+            return dataclasses.replace(quad, value=quad.value + 2 * target)
+
+        monkeypatch.setattr(quadrature, "quadrature_estimate", shifted)
+        code, out, err = run(capsys, "verify", "1", "1/3", "1/5")
+        assert code == 2
+        assert "exact agreement: all 3 values identical" in out
+        assert out.rstrip().endswith(": FAIL")
+        assert err == "verification failure: quadrature disagrees with the exact value\n"
+
+    @pytest.mark.parametrize("freqs,expected", [(["1", "1/3", "1/5"], (1, 1)), (RECIPROCAL_PRIMES_21, (0, 1))])
+    def test_each_engine_kernel_runs_at_most_once(self, capsys, monkeypatch, freqs, expected):
+        calls = Counter()
+        for name in ("_moment_sum_brute", "_moment_sum_mitm"):
+            original = getattr(engine, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        code, _, _ = run(capsys, "verify", *freqs)
+        assert code == 0
+        assert (calls["_moment_sum_brute"], calls["_moment_sum_mitm"]) == expected
 
     def test_output_the_benchmark_gate_parses(self, capsys):
         # perfbench's cli-desk gate reads these three lines of a 3-to-5-term verify

@@ -62,6 +62,11 @@ class TestSignedMomentSum:
         for strategy in EnumerationStrategy:
             assert signed_moment_sum(fl, strategy) == expected
 
+    def test_strategy_given_as_string_rejected(self):
+        fl = frequency_list([Fraction(1), Fraction(1, 3)])
+        with pytest.raises(ValidationError, match="unknown strategy 'mitm'"):
+            signed_moment_sum(fl, "mitm")
+
     def test_single_frequency(self):
         fl = frequency_list([Fraction(5, 3)])
         assert signed_moment_sum(fl) == 1
