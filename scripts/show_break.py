@@ -10,7 +10,14 @@ from sincprod import classical_frequencies, correction_term, evaluate
 
 
 def main() -> int:
-    max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 10
+    args = sys.argv[1:] or ["10"]
+    try:
+        max_n = int(args[0]) if len(args) == 1 else 0
+    except ValueError:
+        max_n = 0
+    if max_n < 1:
+        print("usage: python scripts/show_break.py [MAX_N]  (MAX_N a positive integer, default 10)", file=sys.stderr)
+        return 1
     print(f"integral of sinc(x) sinc(x/3) ... sinc(x/(2n-1)) as a multiple of pi, n = 1..{max_n}\n")
     for n in range(1, max_n + 1):
         result = evaluate(classical_frequencies(n))

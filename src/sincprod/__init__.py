@@ -34,7 +34,6 @@ from .core import (
     parse_rational,
 )
 from .engine import (
-    MAX_FREQUENCIES,
     EnumerationStrategy,
     integral_coefficient,
     signed_moment_sum,
@@ -77,7 +76,6 @@ __all__ = [
     "frequency_list",
     "load_frequency_file",
     "parse_rational",
-    "MAX_FREQUENCIES",
     "EnumerationStrategy",
     "integral_coefficient",
     "signed_moment_sum",

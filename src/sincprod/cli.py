@@ -6,15 +6,16 @@ Subcommands:
     classic-table the 1, 1/3, 1/5, ... family up to a chosen length
     verify        brute force vs meet-in-the-middle vs closed forms, then the
                   sampling-theorem quadrature oracle against the engine:mitm
-                  row already listed; the brute row is skipped above
-                  BRUTE_MAX_N frequencies (2^n sign patterns), and no
-                  pairwise table is printed when one exact value is left
+                  row already listed; the brute row is skipped when its
+                  2^n sign patterns are over the engine's budget (n > 20),
+                  and no pairwise table is printed when one exact value is left
 
 `integrate` uses the closed form when one applies, else meet-in-the-middle;
 `--strategy brute|mitm` forces an engine strategy instead.
 
-Exit codes: 0 success, 1 input error, 2 verification failure (routes
-disagree, the oracle disagrees, or a result breaks 0 < q <= 1/a_1),
+Exit codes: 0 success, 1 input error (an input over the engine's budget
+included) or stdout closed before all output was written, 2 verification
+failure (routes disagree, the oracle disagrees, or a result breaks 0 < q <= 1/a_1),
 3 the oracle could not certify the value (its cost is over budget, or a
 number it needs is outside double-precision range).
 """
@@ -25,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -38,10 +40,7 @@ from .core import (
     parse_rational,
 )
 from .engine import EnumerationStrategy, integral_coefficient
-from .errors import SincprodError, ToleranceError, VerificationError
-
-# brute force visits 2^n sign patterns: about 1.3 s at n = 20, doubling per step
-BRUTE_MAX_N = 20
+from .errors import CapacityError, SincprodError, ToleranceError, VerificationError
 
 @dataclasses.dataclass
 class OutputRecord:
@@ -163,8 +162,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     rows: dict[str, Optional[Fraction]] = {}  # in listing order; None marks a skipped row
     for strategy in EnumerationStrategy:
-        skip = strategy is EnumerationStrategy.BRUTE_FORCE and freqs.n > BRUTE_MAX_N
-        rows[f"engine:{strategy.value}"] = None if skip else integral_coefficient(freqs, strategy).coefficient
+        try:
+            rows[f"engine:{strategy.value}"] = integral_coefficient(freqs, strategy).coefficient
+        except CapacityError:
+            if strategy is not EnumerationStrategy.BRUTE_FORCE:
+                raise
+            rows[f"engine:{strategy.value}"] = None  # listed as skipped
     rows.update((name, value.coefficient) for name, value in closed_form_values(freqs).items())
 
     print(f"frequencies: {freqs}  (n = {freqs.n})")
@@ -264,7 +267,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits on its own errors and --help
         return 0 if not exc.code else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's own idiom: point stdout at devnull so the flush at exit
+        # does not fail again, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2

@@ -10,11 +10,16 @@ contribute to the residue at the origin, and collecting them gives
 
 Two enumeration strategies compute S and must agree bit-exactly:
 
-* MEET_IN_MIDDLE  - the default: split the list in half, sort one half's
+* MEET_IN_MIDDLE  - the default: split the list in half, sort both halves'
                     partial sums, and combine through binomial-expanded
-                    suffix moments; O(2^(n/2) n) big-int steps.
-* BRUTE_FORCE     - all 2^n vectors, Gray-code order; the trusted
-                    reference that tests compare the default against.
+                    moments; O(2^(n/2) n) big-int steps.
+* BRUTE_FORCE     - all 2^n vectors; the trusted reference that tests
+                    compare the default against.
+
+Both walk sign patterns with one Gray-code generator, and one cost rule
+bounds both: no walk visits more than 2^MAX_WALK patterns at once. Brute
+force walks n weights and MITM n - floor(n/2), so n <= 20 and n <= 40 pass;
+a larger input raises CapacityError, naming the cost, before any kernel runs.
 
 The result is checked against a proven bound: q = 2 f_X(0) for
 X = U_1 + ... + U_n with U_j uniform on [-a_j, a_j], and X is symmetric and
@@ -29,21 +34,17 @@ division back to a rational happens once at the end.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 
 from .core import FrequencyList, PiMultiple
 from .errors import CapacityError, ValidationError, VerificationError
 
-__all__ = [
-    "EnumerationStrategy",
-    "MAX_FREQUENCIES",
-    "signed_moment_sum",
-    "integral_coefficient",
-]
+__all__ = ["EnumerationStrategy", "signed_moment_sum", "integral_coefficient"]
 
-# 2^(n/2) working set past this point; keep the resource envelope predictable
-MAX_FREQUENCIES = 40
+# 2^20 sign patterns take brute force about a second; each further bit doubles it
+MAX_WALK = 20
 
 
 class EnumerationStrategy(Enum):
@@ -56,68 +57,45 @@ def _integer_weights(freqs: FrequencyList) -> tuple[list[int], int]:
     return [a.numerator * (scale // a.denominator) for a in freqs.sorted_entries], scale
 
 
-def _moment_sum_brute(weights: list[int], n: int) -> int:
-    p = n - 1
-    lam = sum(weights)
-    total = lam**p if lam > 0 else 0
-    sign = 1
-    mask = 0
-    for step in range(1, 1 << n):
+def _signed_sums(weights: list[int]) -> Iterator[tuple[int, int]]:
+    """All 2^k pairs (lam, sign product) of k weights, in Gray-code order."""
+    lam, sign, mask = sum(weights), 1, 0
+    yield lam, sign
+    for step in range(1, 1 << len(weights)):
         bit = (step & -step).bit_length() - 1  # Gray code: flip exactly one sign
         mask ^= 1 << bit
         lam += -2 * weights[bit] if mask >> bit & 1 else 2 * weights[bit]
         sign = -sign
-        if lam > 0:
-            total += sign * lam**p
-    return total
+        yield lam, sign
 
 
-def _signed_sums(weights: list[int]) -> list[tuple[int, int]]:
-    """All 2^k pairs (partial lam, sign product) for one half of the split."""
-    out = [(sum(weights), 1)]
-    lam, sign, mask = out[0][0], 1, 0
-    for step in range(1, 1 << len(weights)):
-        bit = (step & -step).bit_length() - 1
-        mask ^= 1 << bit
-        lam += -2 * weights[bit] if mask >> bit & 1 else 2 * weights[bit]
-        sign = -sign
-        out.append((lam, sign))
-    return out
+def _moment_sum_brute(weights: list[int], n: int) -> int:
+    p = n - 1
+    return sum(sign * lam**p for lam, sign in _signed_sums(weights) if lam > 0)
 
 
 def _moment_sum_mitm(weights: list[int], n: int) -> int:
     # Split A|B. For a fixed A-vector, the sum over B-vectors with
     # lam_A + lam_B > 0 of sign_B (lam_A + lam_B)^(n-1) expands by the
-    # binomial theorem into suffix moments sum sign_B lam_B^m taken over
-    # the B-sums above the cut lam_B > -lam_A; ties lam_A + lam_B = 0 are
-    # excluded. Walking the A-sums in decreasing order moves the cut
-    # monotonically right, so n running totals replace a full moment table.
+    # binomial theorem into moments sum sign_B lam_B^m over the B-sums above
+    # the cut lam_B > -lam_A. Walking the A-sums in increasing order only
+    # lowers the cut, so n running totals gain B-sums and never lose one. A
+    # tie adds 0^(n-1) = 0 (none occurs at n = 1): ">=" is an equivalent mutant.
     p = n - 1
     half = n // 2
-    side_a = weights[: n - half]
-    side_b = weights[n - half :]
-
-    b_sums = sorted(_signed_sums(side_b))
-    moments = [0] * (p + 1)  # suffix moments of b_sums[cut:], all orders
-    for lam, sign in b_sums:
-        power = sign
-        for m in range(p + 1):
-            moments[m] += power
-            power *= lam
-
+    b_sums = sorted(_signed_sums(weights[n - half :]), reverse=True)
+    moments = [0] * (p + 1)  # moments of b_sums[:cut], all orders
     binom = [math.comb(p, k) for k in range(p + 1)]
-    total = 0
-    cut = 0
-    for lam_a, sign_a in sorted(_signed_sums(side_a), reverse=True):
-        while cut < len(b_sums) and b_sums[cut][0] <= -lam_a:
-            lam, sign = b_sums[cut]
-            power = sign
+    total = cut = 0
+    for lam_a, sign_a in sorted(_signed_sums(weights[: n - half])):
+        while cut < len(b_sums) and b_sums[cut][0] > -lam_a:
+            lam, power = b_sums[cut]
             for m in range(p + 1):
-                moments[m] -= power
+                moments[m] += power
                 power *= lam
             cut += 1
-        if cut == len(b_sums):
-            break  # every remaining lam_A is smaller still
+        if cut == 0:
+            continue  # no B-sum above the cut yet, so every moment is 0
         acc = 0
         power = 1
         for k in range(p + 1):
@@ -136,19 +114,19 @@ def signed_moment_sum(
     Permutation-invariant in the frequencies; identical for every strategy.
     """
     n = freqs.n
-    if n > MAX_FREQUENCIES:
-        raise CapacityError(
-            f"n = {n} exceeds the size guard ({MAX_FREQUENCIES}); "
-            "the 2^(n/2) working set would be impractical"
-        )
-    weights, scale = _integer_weights(freqs)
     if strategy is EnumerationStrategy.BRUTE_FORCE:
-        total = _moment_sum_brute(weights, n)
+        kernel, walk = _moment_sum_brute, n
     elif strategy is EnumerationStrategy.MEET_IN_MIDDLE:
-        total = _moment_sum_mitm(weights, n)
+        kernel, walk = _moment_sum_mitm, n - n // 2
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    return Fraction(total, scale ** (n - 1))
+    if walk > MAX_WALK:
+        raise CapacityError(
+            f"engine:{strategy.value} on n = {n} walks 2^{walk} sign patterns at once, "
+            f"over the budget of 2^{MAX_WALK}"
+        )
+    weights, scale = _integer_weights(freqs)
+    return Fraction(kernel(weights, n), scale ** (n - 1))
 
 
 def integral_coefficient(

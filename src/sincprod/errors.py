@@ -21,7 +21,7 @@ class ApplicabilityError(SincprodError):
 
 
 class CapacityError(SincprodError):
-    """Input exceeds the practical size guard of the enumeration kernel."""
+    """The input costs more than the engine's budget; the message names the cost."""
 
 
 class ToleranceError(SincprodError):

@@ -105,6 +105,34 @@ class TestIntegrate:
         code, _, err = run(capsys, "integrate", "1", "--file", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv,cost",
+        [
+            (["integrate", *RECIPROCAL_PRIMES_21, "--strategy", "brute"], "engine:brute on n = 21 walks 2^21"),
+            (["verify", *["1"] * 41], "engine:mitm on n = 41 walks 2^21"),
+        ],
+        ids=["brute-21", "verify-41"],
+    )
+    def test_over_the_engine_budget_exits_one(self, capsys, argv, cost):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {cost} sign patterns at once, over the budget of 2^20\n"
+
+    def test_reader_closing_early_leaves_no_traceback(self):
+        # 70 000 digits overflow a 64 KiB pipe buffer, so the write must fail
+        src = str(Path(sincprod.__file__).resolve().parent.parent)
+        with subprocess.Popen(
+            [sys.executable, "-m", "sincprod.cli", "integrate", "1", "--digits", "70000"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
 
 class TestClassify:
     def test_seven_classical(self, capsys):
@@ -373,16 +401,26 @@ class TestLazyImports:
             sincprod.no_such_name
 
 
+def run_show_break(*args):
+    root = Path(sincprod.__file__).resolve().parents[2]
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "show_break.py"), *args],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestShowBreak:
+    @pytest.mark.parametrize("args", [["abc"], ["0"], ["-3"], ["4", "5"]], ids=["abc", "0", "-3", "two"])
+    def test_bad_argument_prints_usage(self, args):
+        proc = run_show_break(*args)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("usage: python scripts/show_break.py [MAX_N]")
+
     def test_reports_the_n8_deficit(self):
-        root = Path(sincprod.__file__).resolve().parents[2]
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "show_break.py"), "9"],
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_show_break("9")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert "n =  8  first-dominant-correction    deficit 1.471e-11 * pi" in lines

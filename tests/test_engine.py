@@ -78,10 +78,30 @@ class TestSignedMomentSum:
         assert signed_moment_sum(fl, EnumerationStrategy.MEET_IN_MIDDLE) == 1
         assert integral_coefficient(fl, EnumerationStrategy.MEET_IN_MIDDLE).coefficient == 1 / Fraction(a)
 
-    def test_capacity_guard(self):
-        fl = frequency_list([Fraction(1)] * 41)
-        with pytest.raises(CapacityError):
-            signed_moment_sum(fl)
+    @pytest.mark.parametrize(
+        "strategy,n,walk",
+        [
+            (EnumerationStrategy.BRUTE_FORCE, 20, None),
+            (EnumerationStrategy.BRUTE_FORCE, 21, 21),
+            (EnumerationStrategy.MEET_IN_MIDDLE, 40, None),
+            (EnumerationStrategy.MEET_IN_MIDDLE, 41, 21),
+        ],
+        ids=["brute-20", "brute-21", "mitm-40", "mitm-41"],
+    )
+    def test_capacity_guard(self, monkeypatch, strategy, n, walk):
+        # one budget of 2^20 sign patterns per walk, checked before any kernel runs
+        calls = []
+        for name in ("_moment_sum_brute", "_moment_sum_mitm"):
+            monkeypatch.setattr(engine, name, lambda weights, n: calls.append(n) or 1)
+        fl = frequency_list([Fraction(1)] * n)
+        if walk is None:
+            assert signed_moment_sum(fl, strategy) == 1
+            assert calls == [n]
+        else:
+            cost = rf"engine:{strategy.value} on n = {n} walks 2\^{walk} sign patterns at once, over the budget of 2\^20"
+            with pytest.raises(CapacityError, match=cost):
+                signed_moment_sum(fl, strategy)
+            assert calls == []
 
     def test_mitm_examples(self):
         mitm = EnumerationStrategy.MEET_IN_MIDDLE
