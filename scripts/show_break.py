@@ -6,7 +6,7 @@ Usage: python scripts/show_break.py [MAX_N]
 
 import sys
 
-from sincprod import classical_frequencies, correction_term, evaluate
+from sincprod import SincprodError, classical_frequencies, correction_term, evaluate
 
 
 def main() -> int:
@@ -20,7 +20,11 @@ def main() -> int:
         return 1
     print(f"integral of sinc(x) sinc(x/3) ... sinc(x/(2n-1)) as a multiple of pi, n = 1..{max_n}\n")
     for n in range(1, max_n + 1):
-        result = evaluate(classical_frequencies(n))
+        try:
+            result = evaluate(classical_frequencies(n))
+        except SincprodError as exc:  # n = 41 and up is over the engine's budget
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         coeff, provenance = result.value.coefficient, result.provenance
         deficit = 1 - coeff
         deficit_note = "exactly pi" if deficit == 0 else f"deficit {float(deficit):.3e} * pi"

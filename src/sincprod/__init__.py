@@ -6,9 +6,11 @@ exactly via a residue-sum enumeration engine, provides the known closed
 forms for dominant-frequency configurations, and cross-checks everything
 with an independent floating-point quadrature oracle.
 
-The oracle needs numpy (and nothing else outside the standard library); it
-is imported on first use of one of its names (``crosscheck``,
-``quadrature_estimate``, ...), so the exact path does not load numpy.
+The oracle is imported on first use of one of its names (``crosscheck``,
+``quadrature_estimate``, ...), so the exact path does not load it. It needs
+numpy (and nothing else outside the standard library) only for sample sets
+over ``quadrature.SCALAR_FACTORS`` sample factors; smaller ones run in plain
+Python and load no numpy either.
 """
 
 import importlib

@@ -34,16 +34,24 @@ most 6 ulps of the value. Each of the n factors of a sample is within
 _ULPS_PER_FACTOR = 64 ulps of its envelope min(1, 1/(a_j k h)), times
 max(1, a_1 k h) in direct mode, where arguments round in proportion to
 their size. The 64 ulps cover argument rounding (6 pi ulps after the exact
-reduction, 6 in direct mode), numpy's sin (taken as 2 ulps, 0.5 measured),
-quotient and product, and in periodic mode the Hurwitz zeta kernel on
-[1, 2] (taken as 16 ulps: truncation below 0.35 ulp, proven below, and
-rounding 2.9 ulps measured against mpmath) with its argument and power. So
+reduction, 6 in direct mode), sin (numpy's or libm's math.sin, each taken
+as 2 ulps, 0.5 measured), quotient and product, and in periodic mode the
+Hurwitz zeta kernel on [1, 2] (taken as 16 ulps: truncation below 0.35 ulp,
+proven below, and rounding below 2.9 ulps measured against mpmath, with
+numpy's power and with float ** alike) with its argument and power. So
 rounding bound = 2 h (ulp of the sum + n * 64 ulps of the envelope sum)
 + 6 ulps of the value + n * 2^-1074 per sample for underflow.
 
 Both costs are Python numbers (M can exceed 10^400), compared before any
 array exists; past MAX_SAMPLES the oracle raises ToleranceError naming
-the cost.
+the cost. Up to SCALAR_FACTORS sample factors (n times the sample count)
+the samples are taken one at a time in Python ints and floats and numpy is
+never imported; larger sets go through numpy arrays. The choice depends on
+the input alone. Each scalar loop computes its array twin's expressions in
+the same order, so the accounting above covers both: they differ only in
+whose sin and power run, and in periodic mode the scalar loop reduces
+k w_j mod M in Python ints, the array loop in int64 (below 2^42 within
+MAX_SAMPLES).
 
 Hurwitz zeta kernel: zeta(s, q) for integer s >= 2 and q in [1, 2] by
 Euler-Maclaurin summation of x^-s from q, with N = 9 direct terms,
@@ -64,12 +72,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import FrequencyList
 from .engine import _integer_weights, integral_coefficient
 from .errors import ToleranceError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "tail_bound",
@@ -82,6 +92,12 @@ __all__ = [
 MIN_TARGET = 1e-12
 # about one second and 100 MB of arrays; 1, 1/1000003 (M = 1000005) fits
 MAX_SAMPLES = 2_000_000
+# Up to this many sample factors (n * samples) the scalar loops run and numpy is never
+# imported. On a 2-core Xeon with CPython 3.11 they cost about 1.9 us a factor in periodic
+# mode (a 6917-sample pair: 26 ms, against 1.3 ms in numpy) and 0.3 us in direct mode, so
+# 10000 factors stay near 20 ms, well under the 0.14 s that importing numpy costs a fresh
+# process.
+SCALAR_FACTORS = 10_000
 _ULP = 2.0**-53
 _ULPS_PER_FACTOR = 64
 _ZETA_DIRECT_TERMS = 9
@@ -109,6 +125,8 @@ def _as_double(value: Fraction, what: str) -> float:
 
 def _integrand_grid(a_floats: list[float], xs: np.ndarray) -> np.ndarray:
     """prod_j sinc(a_j x) at every x; exactly even because only |x| is used."""
+    import numpy as np
+
     out = np.ones_like(xs)
     for a in a_floats:
         t = a * np.abs(xs)
@@ -128,7 +146,16 @@ def tail_bound(freqs: FrequencyList, R: float) -> float:
         )
     if not (R > 0):
         raise ValidationError(f"window edge must be positive, got {R}")
-    return 2.0 / ((freqs.n - 1) * R ** (freqs.n - 1) * _as_double(freqs.product(), "the frequency product"))
+    _as_double(freqs.product(), "the frequency product")  # refused as quadrature_estimate refuses it
+    if R == math.inf:
+        return 0.0
+    # exact, then rounded up once: R^(n-1) and the product may leave double range on their own
+    exact = 2 / ((freqs.n - 1) * Fraction(R) ** (freqs.n - 1) * freqs.product())
+    try:
+        bound = float(exact)
+    except OverflowError:
+        return math.inf
+    return bound if Fraction(bound) >= exact else math.nextafter(bound, math.inf)
 
 
 @dataclass(frozen=True)
@@ -154,14 +181,14 @@ class CrosscheckReport:
     passed: bool
 
 
-def _hurwitz_zeta(s: int, q: np.ndarray) -> np.ndarray:
-    """zeta(s, q) for integer s >= 2 and every q in [1, 2]; see the module docstring."""
+def _hurwitz_zeta(s: int, q: float | np.ndarray) -> float | np.ndarray:
+    """zeta(s, q) for integer s >= 2 and q in [1, 2], a float or an array; see the module docstring."""
     a = q + _ZETA_DIRECT_TERMS
     power = a**-s
     inverse_square = 1.0 / (a * a)
     scaled = power / a  # (q+N)^(-s-2j+1) at j = 1
     rising = float(s)  # s(s+1)...(s+2j-2) at j = 1
-    corrections = np.zeros_like(q)
+    corrections = 0.0 * q
     for j, coefficient in enumerate(_ZETA_EM_COEFFICIENTS, 1):
         corrections += coefficient * rising * scaled
         scaled *= inverse_square
@@ -172,8 +199,10 @@ def _hurwitz_zeta(s: int, q: np.ndarray) -> np.ndarray:
     return total
 
 
-def _periodic_samples(weights: list[int], M: int) -> tuple[np.ndarray, np.ndarray]:
-    """f(r h) z_r and its envelope for r = 1..M-1, with h = 2 pi L / M."""
+def _periodic_samples(weights: list[int], M: int) -> tuple[list[float], float]:
+    """f(r h) z_r for r = 1..M-1, with h = 2 pi L / M, and the sum of their envelope."""
+    import numpy as np
+
     r = np.arange(1, M, dtype=np.int64)
     terms = np.ones(M - 1)
     envelope = np.ones(M - 1)
@@ -183,16 +212,52 @@ def _periodic_samples(weights: list[int], M: int) -> tuple[np.ndarray, np.ndarra
         envelope *= np.minimum(1.0, 1.0 / d)
     x = r / M
     z = 1.0 + x ** len(weights) * _hurwitz_zeta(len(weights), 1.0 + x)
-    return terms * z, envelope * z
+    return (terms * z).tolist(), float((envelope * z).sum())
 
 
-def _direct_samples(a_floats: list[float], h: float, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """f(k h) and its envelope for k = 1..K; a_floats is non-increasing."""
+def _periodic_scalar(weights: list[int], M: int) -> tuple[list[float], float]:
+    """_periodic_samples one r at a time, expression by expression, in Python ints and floats."""
+    n, sin, two_pi = len(weights), math.sin, 2 * math.pi
+    terms, envelope = [], 0.0
+    for r in range(1, M):
+        term = bound = 1.0
+        for w in weights:
+            d = (r * w) / M * two_pi
+            term *= sin((r * w % M) / M * two_pi) / d
+            bound *= 1.0 / d if d > 1.0 else 1.0  # min(1, 1/d); a call to min costs more than the rest
+        x = r / M
+        z = 1.0 + x**n * _hurwitz_zeta(n, 1.0 + x)
+        terms.append(term * z)
+        envelope += bound * z
+    return terms, envelope
+
+
+def _direct_samples(a_floats: list[float], h: float, K: int) -> tuple[list[float], float]:
+    """f(k h) for k = 1..K and the sum of their envelope; a_floats is non-increasing."""
+    import numpy as np
+
     xs = np.arange(1, K + 1) * h
     envelope = np.ones(K)
     for a in a_floats[1:]:
         envelope *= np.minimum(1.0, 1.0 / (a * xs))
-    return _integrand_grid(a_floats, xs), envelope
+    return _integrand_grid(a_floats, xs).tolist(), float(envelope.sum())
+
+
+def _direct_scalar(a_floats: list[float], h: float, K: int) -> tuple[list[float], float]:
+    """_direct_samples one k at a time, expression by expression, in Python floats."""
+    sin, first, rest = math.sin, a_floats[0], a_floats[1:]
+    terms, envelope = [], 0.0
+    for k in range(1, K + 1):
+        x = k * h
+        t = first * x
+        term, bound = sin(t) / t, 1.0  # 1.0 * sin(t) / t, exactly
+        for a in rest:
+            t = a * x
+            term *= sin(t) / t
+            bound *= 1.0 / t if t > 1.0 else 1.0  # min(1, 1/t), as in _periodic_scalar
+        terms.append(term)
+        envelope += bound
+    return terms, envelope
 
 
 def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> QuadratureResult:
@@ -231,21 +296,21 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
             f"the oracle needs about 10^{math.log10(cost):.1f} samples (the cheaper of "
             f"periodic M - 1 and direct K), over its budget of {MAX_SAMPLES}"
         )
-    if M - 1 <= K:
-        mode, samples = "periodic", M - 1
+    mode, samples = ("periodic", M - 1) if M - 1 <= K else ("direct", K)
+    scalar = n * samples <= SCALAR_FACTORS  # decided by the input alone
+    if mode == "periodic":
         R = _as_double(2 * L * Fraction(math.pi), "one period 2*pi*lcm of the denominators")
         h = R / M
-        terms, envelope = _periodic_samples(weights, M)
+        terms, envelope = (_periodic_scalar if scalar else _periodic_samples)(weights, M)
         tail = 0.0
     else:
-        mode, samples = "direct", K
         R = K * h
-        terms, envelope = _direct_samples(a_floats, h, K)
+        terms, envelope = (_direct_scalar if scalar else _direct_samples)(a_floats, h, K)
         tail = tail_bound(freqs, R)
 
-    total = math.fsum(terms.tolist())
+    total = math.fsum(terms)
     value = h * (1.0 + 2.0 * total)
-    allowance = n * _ULPS_PER_FACTOR * float(envelope.sum())
+    allowance = n * _ULPS_PER_FACTOR * envelope
     rounding = 6 * _ULP * value + 2 * h * _ULP * (abs(total) + allowance) + samples * n * 2.0**-1074
     if tail + rounding > target:
         raise ToleranceError(f"certified error {tail + rounding} exceeds target {target}")

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import sincprod
-from sincprod import PiMultiple, closed_forms, engine, frequency_list, integral_coefficient, parse_rational
+from sincprod import (
+    CapacityError,
+    PiMultiple,
+    closed_forms,
+    engine,
+    frequency_list,
+    integral_coefficient,
+    parse_rational,
+)
 from sincprod.cli import main
 
 I8_STRING = str(1 - Fraction(6879714958723010531, 467807924720320453655260875000))
@@ -362,11 +371,15 @@ print("ok")
 
 ORACLE_IMPORT_PROBE = """
 import sys
+from fractions import Fraction
 import sincprod
 import sincprod.cli
 
 assert sincprod.cli.main(["verify", "1", "1/3", "1/5"]) == 0
 assert sincprod.crosscheck(sincprod.classical_frequencies(8), 1e-10).passed
+assert "numpy" not in sys.modules  # small sample sets take the scalar loops
+pair = sincprod.frequency_list([Fraction(1), Fraction(1, 10007)])
+assert sincprod.crosscheck(pair, 1e-10).passed  # 2 * 10008 sample factors
 assert "numpy" in sys.modules
 heavy = sorted(m for m in ("scipy", "mpmath") if m in sys.modules)
 assert not heavy, heavy
@@ -401,10 +414,13 @@ class TestLazyImports:
             sincprod.no_such_name
 
 
+SHOW_BREAK = Path(sincprod.__file__).resolve().parents[2] / "scripts" / "show_break.py"
+
+
 def run_show_break(*args):
-    root = Path(sincprod.__file__).resolve().parents[2]
+    root = SHOW_BREAK.parents[1]
     return subprocess.run(
-        [sys.executable, str(root / "scripts" / "show_break.py"), *args],
+        [sys.executable, str(SHOW_BREAK), *args],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
         text=True,
@@ -425,3 +441,21 @@ class TestShowBreak:
         lines = proc.stdout.splitlines()
         assert "n =  8  first-dominant-correction    deficit 1.471e-11 * pi" in lines
         assert "  1 - 1/3 - 1/5 - ... - 1/15 = -982/45045  (< 0, with N = 7)" in lines
+
+    def test_engine_error_exits_one_without_traceback(self, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("show_break", SHOW_BREAK)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        evaluate = script.evaluate
+
+        def over_budget_at_three(freqs):
+            if freqs.n == 3:
+                raise CapacityError("n = 3 is over the budget")
+            return evaluate(freqs)
+
+        monkeypatch.setattr(script, "evaluate", over_budget_at_three)
+        monkeypatch.setattr(sys, "argv", ["show_break.py", "9"])
+        assert script.main() == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: n = 3 is over the budget\n"
+        assert "n =  2" in captured.out and "Traceback" not in captured.out + captured.err

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from sincprod import (
     classical_frequencies,
     crosscheck,
     frequency_list,
+    quadrature,
     quadrature_estimate,
     tail_bound,
 )
@@ -31,6 +33,19 @@ I8_COEFFICIENT = 1 - Fraction(6879714958723010531, 46780792472032045365526087500
 
 def fl(*values):
     return frequency_list([Fraction(v) for v in values])
+
+
+def crosscheck_both_paths(freqs, target):
+    """crosscheck through the array loops and through the scalar loops; both must agree and pass."""
+    reports = []
+    for limit in (0, math.inf):
+        with mock.patch.object(quadrature, "SCALAR_FACTORS", limit):
+            reports.append(crosscheck(freqs, target))
+    array, scalar = (report.quadrature for report in reports)
+    assert abs(array.value - scalar.value) <= array.rounding_bound + scalar.rounding_bound
+    assert (array.mode, array.samples, array.tail_bound) == (scalar.mode, scalar.samples, scalar.tail_bound)
+    assert all(report.passed for report in reports), reports
+    return reports
 
 
 def integrand(freqs, x):
@@ -71,7 +86,8 @@ class TestHurwitzZetaKernel:
         with mpmath.workdps(40):
             for x, value in zip(q.tolist(), values.tolist()):
                 exact = mpmath.zeta(s, x)
-                assert abs(value - exact) <= ZETA_ULPS * _ULP * exact, (s, x)
+                for path, v in (("array", value), ("float", _hurwitz_zeta(s, x))):
+                    assert type(v) is float and abs(v - exact) <= ZETA_ULPS * _ULP * exact, (path, s, x)
 
     def test_coefficients_are_bernoulli_numbers(self):
         for j, coefficient in enumerate(_ZETA_EM_COEFFICIENTS, 1):
@@ -108,6 +124,17 @@ class TestTailBound:
     def test_rejects_bad_window(self):
         with pytest.raises(ValidationError):
             tail_bound(fl(1, 1), 0.0)
+
+    def test_past_double_range_is_inf(self):
+        assert tail_bound(classical_frequencies(3), 1e-200) == math.inf  # R^2 underflows to 0
+        assert tail_bound(fl(1, 1), math.inf) == 0.0
+
+    def test_rounds_the_exact_bound_up(self):
+        for freqs, R in ((classical_frequencies(5), 3.7), (fl("1/3", "2/7"), 1e5), (fl(*["1/75000000"] * 40), 2e8)):
+            n = freqs.n
+            exact = 2 / ((n - 1) * Fraction(R) ** (n - 1) * freqs.product())
+            bound = tail_bound(freqs, R)
+            assert Fraction(bound) >= exact and Fraction(math.nextafter(bound, 0.0)) < exact
 
     def test_doubling_r_for_n2(self):
         freqs = fl(1, "1/3")
@@ -187,6 +214,19 @@ class TestQuadratureEstimate:
         h = result.R / result.samples
         assert h * sum(float(a) for a in freqs.entries) < 2 * math.pi
 
+    def test_denormal_product_does_not_overflow(self):
+        # prod a_j is about 1e-315 and R^39 about 1e323: neither may pass through a double
+        freqs = frequency_list([Fraction(1, 75000000)] * 40)
+        for run in (quadrature_estimate, crosscheck):
+            with pytest.raises(ToleranceError, match="exceeds target"):  # the value is about 5e7
+                run(freqs, 1e-8)
+        result = quadrature_estimate(freqs, 1e-3)
+        assert result.mode == "direct" and result.tail_bound > 0
+        n = 40  # integral of sinc(x)^n / pi by the classical alternating sum, scaled by 1/a
+        q = sum((-1) ** k * math.comb(n, k) * Fraction(n - 2 * k) ** (n - 1) for k in range((n + 1) // 2))
+        q /= 2 ** (n - 1) * math.factorial(n - 1)
+        assert quadrature._compare(result, q * 75000000).passed
+
     def test_tail_bound_rejects_product_outside_double_range(self):
         with pytest.raises(ToleranceError):
             tail_bound(fl(Fraction(1, 10**200), Fraction(1, 10**200)), 10.0)
@@ -221,6 +261,10 @@ class TestCrosscheck:
         report = crosscheck(fl(*values), target)
         assert report.passed and report.quadrature.mode == "periodic"
 
+    def test_pair_on_both_paths(self):
+        array, scalar = crosscheck_both_paths(fl(1, "1/10007"), 1e-10)
+        assert array.quadrature.samples * 2 > quadrature.SCALAR_FACTORS  # the array path by default
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
@@ -228,6 +272,5 @@ class TestCrosscheck:
         )
     )
     def test_random_lists_certify(self, values):
-        report = crosscheck(frequency_list(values), 1e-9)
+        report, _ = crosscheck_both_paths(frequency_list(values), 1e-9)
         event(report.quadrature.mode)
-        assert report.passed, (values, report)
