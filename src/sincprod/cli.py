@@ -5,19 +5,18 @@ Subcommands:
     classify      dominance classification with exact inequality sides
     classic-table the 1, 1/3, 1/5, ... family up to a chosen length
     verify        brute force vs meet-in-the-middle vs closed forms, then the
-                  sampling-theorem quadrature oracle against the engine:mitm
-                  row already listed; the brute row is skipped when its
-                  2^n sign patterns are over the engine's budget (n > 20),
+                  quadrature oracle against the first exact value listed; an
+                  engine row over budget is listed as skipped with its cost,
                   and no pairwise table is printed when one exact value is left
 
 `integrate` uses the closed form when one applies, else meet-in-the-middle;
 `--strategy brute|mitm` forces an engine strategy instead.
 
-Exit codes: 0 success, 1 input error (an input over the engine's budget
-included) or stdout closed before all output was written, 2 verification
-failure (routes disagree, the oracle disagrees, or a result breaks 0 < q <= 1/a_1),
-3 the oracle could not certify the value (its cost is over budget, or a
-number it needs is outside double-precision range).
+Exit codes: 0 success, 1 input error (an input over the engine's budget included,
+for verify only when no exact value is left) or stdout closed before all output
+was written, 2 verification failure (routes disagree, the oracle disagrees, or a
+result breaks 0 < q <= 1/a_1), 3 the oracle could not certify the value (its
+cost is over budget, or a number it needs is outside double-precision range).
 """
 
 from __future__ import annotations
@@ -160,24 +159,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.tolerance < 1e-10:
         raise SincprodError(f"--tolerance must be at least 1e-10, got {args.tolerance}")
 
-    rows: dict[str, Optional[Fraction]] = {}  # in listing order; None marks a skipped row
+    rows: dict[str, Fraction | CapacityError] = {}  # in listing order; a row over budget holds its error
     for strategy in EnumerationStrategy:
         try:
             rows[f"engine:{strategy.value}"] = integral_coefficient(freqs, strategy).coefficient
-        except CapacityError:
-            if strategy is not EnumerationStrategy.BRUTE_FORCE:
-                raise
-            rows[f"engine:{strategy.value}"] = None  # listed as skipped
+        except CapacityError as exc:
+            rows[f"engine:{strategy.value}"] = exc
     rows.update((name, value.coefficient) for name, value in closed_form_values(freqs).items())
+    names = [name for name, value in rows.items() if not isinstance(value, CapacityError)]
+    if not names:
+        raise list(rows.values())[-1]  # every row is an engine error: report the last one
 
     print(f"frequencies: {freqs}  (n = {freqs.n})")
     index = {name: i for i, name in enumerate(rows, 1)}
     width = max(map(len, rows))
     for name, value in rows.items():
-        shown = f"skipped (2^{freqs.n} sign patterns)" if value is None else format_rational(value)
+        shown = f"skipped ({value.cost})" if isinstance(value, CapacityError) else format_rational(value)
         print(f"  [{index[name]}] {name:<{width}}  {shown}")
 
-    names = [name for name, value in rows.items() if value is not None]
     mismatches = []
     if len(names) > 1:
         print("pairwise agreement:")
@@ -208,7 +207,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ToleranceError as exc:
         print(f"could not certify: {exc}", file=sys.stderr)
         return 3
-    report = quadrature._compare(quad, rows["engine:mitm"])
+    report = quadrature._compare(quad, rows[names[0]])
     print(
         f"quadrature ({quad.mode}, {quad.samples} samples): {quad.value!r}  vs exact {report.exact_value!r}\n"
         f"  |difference| = {report.difference:.3e}  <=  bound {quad.total_error_bound:.3e}: "

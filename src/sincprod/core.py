@@ -127,7 +127,7 @@ def frequency_list(values: Iterable[Fraction | int]) -> FrequencyList:
 def load_frequency_file(path: str | Path) -> FrequencyList:
     """Read one rational per line; blank lines and ``#`` comments are skipped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ValidationError(f"cannot read frequency file {str(path)!r}: {reason}") from None

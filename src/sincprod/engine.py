@@ -121,9 +121,9 @@ def signed_moment_sum(
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
     if walk > MAX_WALK:
+        cost = f"2^{walk} sign patterns"
         raise CapacityError(
-            f"engine:{strategy.value} on n = {n} walks 2^{walk} sign patterns at once, "
-            f"over the budget of 2^{MAX_WALK}"
+            f"engine:{strategy.value} on n = {n} walks {cost} at once, over the budget of 2^{MAX_WALK}", cost=cost
         )
     weights, scale = _integer_weights(freqs)
     return Fraction(kernel(weights, n), scale ** (n - 1))

@@ -21,7 +21,11 @@ class ApplicabilityError(SincprodError):
 
 
 class CapacityError(SincprodError):
-    """The input costs more than the engine's budget; the message names the cost."""
+    """The input costs more than the engine's budget; the message and `cost` name the cost."""
+
+    def __init__(self, message: str, cost: str = ""):
+        super().__init__(message)
+        self.cost = cost  # as the engine prices it, such as "2^21 sign patterns"
 
 
 class ToleranceError(SincprodError):

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sincprod
 from sincprod import (
@@ -63,6 +67,15 @@ class TestIntegrate:
         code, out, _ = run(capsys, "integrate", "--file", str(path), "--json")
         assert code == 0
         assert json.loads(out)["coefficient"] == I8_STRING
+
+    def test_file_with_byte_order_mark(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text("1\n1/3\n1/5\n", encoding="utf-8")
+        marked.write_text("1\n1/3\n1/5\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = run(capsys, "integrate", "--file", str(plain))
+        assert expected[0] == 0 and "coefficient: 1\n" in expected[1]
+        assert run(capsys, "integrate", "--file", str(marked)) == expected
 
     def test_forced_strategy(self, capsys):
         code, out, _ = run(capsys, "integrate", "1", "1", "1", "--strategy", "mitm", "--json")
@@ -276,6 +289,21 @@ class TestVerify:
         assert "pairwise agreement:" not in out and "exact agreement: all" not in out
         assert oracle.startswith("quadrature (") and oracle.rstrip().endswith(": pass")
 
+    @pytest.mark.parametrize("ones,brute,mitm", [(40, 41, 21), (44, 45, 23)])
+    def test_first_dominant_verifies_with_both_engine_rows_over_budget(self, capsys, ones, brute, mitm):
+        code, out, err = run(capsys, "verify", "100", *["1"] * ones)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[1:5] == [
+            f"  [1] engine:brute    skipped (2^{brute} sign patterns)",
+            f"  [2] engine:mitm     skipped (2^{mitm} sign patterns)",
+            "  [3] first-dominant  1/100",
+            "exact agreement: only one exact value (first-dominant); "
+            "the quadrature oracle is the only independent check",
+        ]
+        assert lines[5].startswith("quadrature (direct, 30 samples): ")
+        assert lines[6].endswith(": pass") and len(lines) == 7
+
     def test_closed_form_mismatch_exits_two(self, capsys, monkeypatch):
         original = closed_forms.three_dominant_value
         monkeypatch.setattr(
@@ -336,6 +364,84 @@ class TestVerify:
             assert Fraction(brute.split()[-1]) == integral_coefficient(frequency_list(map(parse_rational, freqs))).coefficient
             assert any(line.startswith("exact agreement: all") for line in lines)
             assert any(line.rstrip().endswith(": pass") for line in lines)
+
+
+# n = 1..16 keeps brute force well under a second; at 21 and 22 the brute row
+# is over budget and MITM is cheap; at 41..45 both engine rows are over budget.
+# 17..20 (brute force up to 2 s) and 23..40 (MITM up to minutes) stay out.
+CONTRACT_SIZES = [*range(1, 17), 21, 22, *range(41, 46)]
+EVERYDAY = st.one_of(
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4)),
+)
+HUGE = st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40))
+VALID_TOLERANCES = ["1e-10", "1e-8", "0.5", "1e300"]
+BAD_TOLERANCES = ["9.99e-11", "0", "-1e-8", "nan", "inf"]
+
+
+@st.composite
+def contract_lists(draw):
+    n = draw(st.sampled_from(CONTRACT_SIZES))
+    values = draw(st.lists(EVERYDAY, min_size=n, max_size=n))
+    # at most two huge entries: sixteen of them make brute force take seconds
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        values[i] = draw(HUGE)
+    if draw(st.booleans()):  # a first frequency above the sum of the rest: first-dominant at any n
+        values[0] = sum(values[1:], draw(EVERYDAY))
+    return values
+
+
+def call(argv):
+    # capsys is set up once per test, not once per Hypothesis example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def printed_coefficient(out):
+    if out.startswith("{"):
+        return Fraction(json.loads(out)["coefficient"])
+    return Fraction(out.split("coefficient: ", 1)[1].splitlines()[0])
+
+
+def listed_exact_values(out):
+    """The values of the `verify` listing (its first block of `[i]` lines), skipped rows left out."""
+    rows = []
+    for line in out.splitlines()[1:]:
+        if not line.startswith("  ["):
+            break
+        rows.append(line)
+    return [Fraction(row.split()[-1]) for row in rows if "skipped (" not in row]
+
+
+class TestContract:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        contract_lists(),
+        st.sampled_from(["0", "1", "15", "60"]),
+        # valid tolerances twice as often: only they reach the integrate/verify comparison
+        st.one_of(st.sampled_from(VALID_TOLERANCES), st.sampled_from(VALID_TOLERANCES), st.sampled_from(BAD_TOLERANCES)),
+        st.integers(-1, 13),
+        st.sampled_from(["-1", "0", "20"]),
+        st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    def test_random_argv_keeps_the_exit_contract(self, values, digits, tolerance, max_n, table_digits, as_json):
+        tokens = [str(a) for a in values]
+        json_flags = [["--json"] if flag else [] for flag in as_json]
+        integrate = call(["integrate", *tokens, "--digits", digits, *json_flags[0]])
+        verify = call(["verify", *tokens, "--tolerance", tolerance])
+        others = [
+            call(["classify", *tokens, *json_flags[1]]),
+            call(["classic-table", "--max-n", str(max_n), "--digits", table_digits, *json_flags[2]]),
+        ]
+        for code, _, err in [integrate, verify, *others]:
+            assert code in (0, 1, 3), err
+        if integrate[0] == 0 and len(values) >= 2 and tolerance in VALID_TOLERANCES:
+            code, out, err = verify
+            assert code != 1, err
+            exact = listed_exact_values(out)
+            assert exact and set(exact) == {printed_coefficient(integrate[1])}
 
 
 class TestArgparseBehavior:

@@ -110,6 +110,21 @@ class TestFrequencyFile:
         fl = load_frequency_file(path)
         assert fl.entries == (Fraction(1), Fraction(1, 3), Fraction(1, 5))
 
+    @pytest.mark.parametrize("head", [b"", b"# exported by a Windows editor\n"], ids=["value", "comment"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, head):
+        body = head + b"1\r\n1/3\r\n0.2\r\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        assert load_frequency_file(marked) == load_frequency_file(plain)
+        assert load_frequency_file(plain).entries == (Fraction(1), Fraction(1, 3), Fraction(1, 5))
+
+    def test_byte_order_mark_after_the_start_is_rejected(self, tmp_path):
+        path = tmp_path / "inner.txt"
+        path.write_bytes(b"1\n\xef\xbb\xbf1/3\n")
+        with pytest.raises(RationalParseError, match=":2:"):
+            load_frequency_file(path)
+
     def test_missing_file_names_path(self, tmp_path):
         path = tmp_path / "absent.txt"
         with pytest.raises(ValidationError, match="absent.txt"):
