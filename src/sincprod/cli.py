@@ -22,13 +22,11 @@ cost is over budget, or a number it needs is outside double-precision range).
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .closed_forms import classical_frequencies, classify_dominance, closed_form_values, evaluate
 from .core import (
@@ -41,8 +39,11 @@ from .core import (
 from .engine import EnumerationStrategy, integral_coefficient
 from .errors import CapacityError, SincprodError, ToleranceError, VerificationError
 
-@dataclasses.dataclass
-class OutputRecord:
+# The value types are NamedTuples because importing dataclasses pulls in inspect, ast and dis,
+# and json is imported in the --json branches only: a plain exact call loads neither.
+
+
+class OutputRecord(NamedTuple):
     freqs: list[str]
     n: int
     coefficient: str
@@ -52,7 +53,7 @@ class OutputRecord:
     verified: Optional[dict] = None
 
 
-def _record(freqs: FrequencyList, value, classification, provenance: str, digits: int) -> OutputRecord:
+def _record(freqs: FrequencyList, value, classification, provenance: str, digits: int, verified=None) -> OutputRecord:
     return OutputRecord(
         freqs=[format_rational(a) for a in freqs.entries],
         n=freqs.n,
@@ -60,12 +61,15 @@ def _record(freqs: FrequencyList, value, classification, provenance: str, digits
         decimal=value.decimal(digits),
         classification=classification.tag.value,
         provenance=provenance,
+        verified=verified,
     )
 
 
 def _print_record(record: OutputRecord, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(dataclasses.asdict(record), indent=2))
+        import json
+
+        print(json.dumps(record._asdict(), indent=2))
         return
     print(f"frequencies: {', '.join(record.freqs)}  (n = {record.n})")
     print(f"coefficient: {record.coefficient}")
@@ -96,9 +100,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         value, provenance, classification = result.value, result.provenance, result.classification
         if result.verified:
             verified = {"method": "engine-recomputation", "match": True}
-    record = _record(freqs, value, classification, provenance, args.digits)
-    record.verified = verified
-    _print_record(record, args.json)
+    _print_record(_record(freqs, value, classification, provenance, args.digits, verified), args.json)
     return 0
 
 
@@ -106,6 +108,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     freqs = _freqs_from_args(args)
     cls = classify_dominance(freqs)
     if args.json:
+        import json
+
         payload = {
             "freqs": [format_rational(a) for a in freqs.entries],
             "n": freqs.n,
@@ -139,7 +143,9 @@ def _cmd_classic_table(args: argparse.Namespace) -> int:
         result = evaluate(freqs)
         rows.append(_record(freqs, result.value, result.classification, result.provenance, args.digits))
     if args.json:
-        print(json.dumps({"rows": [dataclasses.asdict(r) for r in rows]}, indent=2))
+        import json
+
+        print(json.dumps({"rows": [r._asdict() for r in rows]}, indent=2))
         return 0
     coeff_width = max(len(r.coefficient) for r in rows)
     for row in rows:

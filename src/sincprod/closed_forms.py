@@ -26,10 +26,9 @@ for small n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import FrequencyList, PiMultiple, frequency_list
 from .engine import integral_coefficient
@@ -63,8 +62,7 @@ class DominanceTag(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     """One strict comparison lhs > rhs with both sides kept exact."""
 
     label: str
@@ -84,16 +82,14 @@ class InequalityCheck:
         return f"{self.label}: {self.lhs} {rel} {self.rhs}"
 
 
-@dataclass(frozen=True)
-class DominanceClass:
+class DominanceClass(NamedTuple):
     tag: DominanceTag
     dominated_count: Optional[int]  # N for the boundary class, else None
     boundary_flags: tuple[str, ...]  # labels of comparisons that tied exactly
     checks: tuple[InequalityCheck, ...]
 
 
-@dataclass(frozen=True)
-class CorrectionTerm:
+class CorrectionTerm(NamedTuple):
     """The sign pattern that breaks first-frequency dominance.
 
     normalized_gap = 1 - sum_{j>=2} a_j/a_1, the signed frequency sum of
@@ -262,8 +258,7 @@ def three_frequency_value(freqs: FrequencyList) -> PiMultiple:
     return PiMultiple((2 * cross - squares) / (4 * a[0] * a[1] * a[2]))
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     value: PiMultiple
     provenance: str
     classification: DominanceClass

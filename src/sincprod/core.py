@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import RationalParseError, ValidationError
 
@@ -86,8 +85,7 @@ def format_rational(value: Fraction) -> str:
     return f"{_int_to_digits(value.numerator)}/{_int_to_digits(value.denominator)}"
 
 
-@dataclass(frozen=True)
-class FrequencyList:
+class FrequencyList(NamedTuple):
     """Validated list of strictly positive rational frequencies.
 
     `entries` keeps the order the caller gave (used for reporting), and
@@ -188,8 +186,7 @@ def _pi_scaled(k: int) -> int:
         guard *= 2
 
 
-@dataclass(frozen=True)
-class PiMultiple:
+class PiMultiple(NamedTuple):
     """An exact value q*pi, stored as the rational coefficient q."""
 
     coefficient: Fraction

@@ -70,9 +70,8 @@ where it is 3.8e-17 = 0.35 ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import FrequencyList
 from .engine import _integer_weights, integral_coefficient
@@ -158,8 +157,7 @@ def tail_bound(freqs: FrequencyList, R: float) -> float:
     return bound if Fraction(bound) >= exact else math.nextafter(bound, math.inf)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     rounding_bound: float
     tail_bound: float
@@ -172,8 +170,7 @@ class QuadratureResult:
         return self.tail_bound + self.rounding_bound
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     quadrature: QuadratureResult
     exact_coefficient: Fraction
     exact_value: float

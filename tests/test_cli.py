@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import importlib.util
 import io
 import json
@@ -184,6 +183,43 @@ class TestClassify:
         assert all({"label", "lhs", "rhs", "holds"} <= set(c) for c in payload["checks"])
 
 
+RECORD_1_1_1 = [
+    ("freqs", ["1", "1", "1"]),
+    ("n", 3),
+    ("coefficient", "3/4"),
+    ("decimal", "2.356194490192345"),
+    ("classification", "three-dominant"),
+    ("provenance", "three-dominant"),
+]
+
+
+class TestJsonRecord:
+    """The --json record's keys, their order and their values, null included."""
+
+    def test_integrate_verified(self, capsys):
+        code, out, err = run(capsys, "integrate", "1", "1", "1", "--json")
+        assert (code, err) == (0, "")
+        verified = {"method": "engine-recomputation", "match": True}
+        assert list(json.loads(out).items()) == RECORD_1_1_1 + [("verified", verified)]
+        assert out.endswith('"match": true\n  }\n}\n')
+
+    def test_integrate_no_verify_keeps_null(self, capsys):
+        code, out, err = run(capsys, "integrate", "1", "1", "1", "--json", "--no-verify")
+        assert (code, err) == (0, "")
+        assert list(json.loads(out).items()) == RECORD_1_1_1 + [("verified", None)]
+        assert out.endswith('  "verified": null\n}\n')
+
+    def test_classic_table_rows_are_the_same_records(self, capsys):
+        code, out, err = run(capsys, "classic-table", "--max-n", "3", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert list(payload) == ["rows"]
+        singles = [
+            json.loads(run(capsys, "integrate", *["1", "1/3", "1/5"][:n], "--json", "--no-verify")[1]) for n in (1, 2, 3)
+        ]
+        assert [list(row.items()) for row in payload["rows"]] == [list(row.items()) for row in singles]
+
+
 class TestClassicTable:
     def test_seven_rows_all_one(self, capsys):
         code, out, _ = run(capsys, "classic-table", "--max-n", "7", "--json")
@@ -330,7 +366,7 @@ class TestVerify:
         def shifted(freqs, target):
             # the estimate moves 2 * target away, past its own bound (at most target)
             quad = original(freqs, target)
-            return dataclasses.replace(quad, value=quad.value + 2 * target)
+            return quad._replace(value=quad.value + 2 * target)
 
         monkeypatch.setattr(quadrature, "quadrature_estimate", shifted)
         code, out, err = run(capsys, "verify", "1", "1/3", "1/5")
@@ -457,6 +493,7 @@ class TestArgparseBehavior:
 
 LAZY_IMPORT_PROBE = """
 import sys
+bare = set(sys.modules)  # what the interpreter loads before any sincprod import
 import sincprod
 import sincprod.cli
 
@@ -464,6 +501,8 @@ for argv in (["integrate", "1", "1/3", "1/5"], ["classify", "1", "1", "1/2"], ["
     assert sincprod.cli.main(argv) == 0, argv
 heavy = sorted(m for m in ("numpy", "scipy", "mpmath") if m in sys.modules)
 assert not heavy, heavy
+slow = sorted(m for m in ("dataclasses", "inspect", "json") if m in sys.modules and m not in bare)
+assert not slow, slow
 exported = list(sincprod.__all__)
 assert callable(sincprod.crosscheck)
 assert sincprod.quadrature is sys.modules["sincprod.quadrature"]
@@ -493,6 +532,22 @@ print("ok")
 """
 
 
+JSON_IMPORT_PROBE = """
+import sys
+bare = set(sys.modules)
+import sincprod.cli
+
+assert sincprod.cli.main(["verify", "1", "1/3", "1/5"]) == 0
+slow = sorted(m for m in ("dataclasses", "inspect", "json") if m in sys.modules and m not in bare)
+assert not slow, slow
+assert sincprod.cli.main(["integrate", "1", "1/3", "1/5", "--json"]) == 0
+assert "json" in sys.modules
+slow = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules and m not in bare)
+assert not slow, slow
+print("ok")
+"""
+
+
 def run_probe(probe):
     src = str(Path(sincprod.__file__).resolve().parent.parent)
     return subprocess.run(
@@ -507,6 +562,11 @@ def run_probe(probe):
 class TestLazyImports:
     def test_exact_commands_load_no_numeric_stack(self):
         proc = run_probe(LAZY_IMPORT_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "ok"
+
+    def test_json_loads_only_for_json_output(self):
+        proc = run_probe(JSON_IMPORT_PROBE)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "ok"
 

@@ -7,7 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mpmath
+import sincprod
 from sincprod import (
+    CorrectionTerm,
+    DominanceClass,
+    DominanceTag,
+    Evaluation,
+    InequalityCheck,
     PiMultiple,
     RationalParseError,
     ValidationError,
@@ -17,6 +23,7 @@ from sincprod import (
     parse_rational,
 )
 from sincprod import core
+from sincprod.cli import OutputRecord
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
 
@@ -212,3 +219,91 @@ class TestLongDigitStrings:
     def test_format_matches_str_below_limit(self):
         for value in (Fraction(0), Fraction(-7, 3), Fraction(10**4000 + 1, 3)):
             assert format_rational(value) == str(value)
+
+
+_CHECK_REPR = "InequalityCheck(label='a1 > a2', lhs=Fraction(1, 1), rhs=Fraction(1, 3))"
+_DOMINANCE_REPR = (
+    "DominanceClass(tag=<DominanceTag.FIRST_DOMINANT: 'first-dominant'>, dominated_count=None, "
+    f"boundary_flags=(), checks=({_CHECK_REPR},))"
+)
+_QUAD_REPR = "QuadratureResult(value=1.5, rounding_bound=1e-16, tail_bound=0.0, R=6.0, mode='direct', samples=3)"
+_THIRD = Fraction(1, 3)
+
+
+def _check():
+    return InequalityCheck("a1 > a2", Fraction(1), _THIRD)
+
+
+def _dominance():
+    return DominanceClass(DominanceTag.FIRST_DOMINANT, None, (), (_check(),))
+
+
+def _quad():
+    return sincprod.QuadratureResult(1.5, 1e-16, 0.0, 6.0, "direct", 3)
+
+
+# name -> (build a fresh instance, its repr); every call builds a new, field-for-field equal object
+VALUE_TYPES = {
+    "FrequencyList": (
+        lambda: frequency_list([1, _THIRD]),
+        "FrequencyList(entries=(Fraction(1, 1), Fraction(1, 3)), sorted_entries=(Fraction(1, 1), Fraction(1, 3)))",
+    ),
+    "PiMultiple": (lambda: PiMultiple(Fraction(1)), "PiMultiple(coefficient=Fraction(1, 1))"),
+    "InequalityCheck": (_check, _CHECK_REPR),
+    "DominanceClass": (_dominance, _DOMINANCE_REPR),
+    "CorrectionTerm": (
+        lambda: CorrectionTerm(Fraction(-1, 15), 2),
+        "CorrectionTerm(normalized_gap=Fraction(-1, 15), dominated_count=2)",
+    ),
+    "Evaluation": (
+        lambda: Evaluation(PiMultiple(Fraction(1)), "first-dominant", _dominance(), True),
+        "Evaluation(value=PiMultiple(coefficient=Fraction(1, 1)), provenance='first-dominant', "
+        f"classification={_DOMINANCE_REPR}, verified=True)",
+    ),
+    "QuadratureResult": (_quad, _QUAD_REPR),
+    "CrosscheckReport": (
+        lambda: sincprod.CrosscheckReport(_quad(), Fraction(1, 2), 1.5, 0.0, True),
+        f"CrosscheckReport(quadrature={_QUAD_REPR}, exact_coefficient=Fraction(1, 2), exact_value=1.5, "
+        "difference=0.0, passed=True)",
+    ),
+    "OutputRecord": (
+        lambda: OutputRecord(["1"], 1, "1", "3.14", "first-dominant", "first-dominant", verified=None),
+        "OutputRecord(freqs=['1'], n=1, coefficient='1', decimal='3.14', classification='first-dominant', "
+        "provenance='first-dominant', verified=None)",
+    ),
+}
+
+
+class TestValueSemantics:
+    """Pins what callers may rely on, whatever the value types are built from."""
+
+    @pytest.mark.parametrize("name", list(VALUE_TYPES))
+    def test_equal_fields_equal_values(self, name):
+        make, text = VALUE_TYPES[name]
+        a, b = make(), make()
+        assert type(a).__name__ == name and repr(a) == text
+        assert a is not b and a == b
+
+    @pytest.mark.parametrize("name", [name for name in VALUE_TYPES if name != "OutputRecord"])
+    def test_frozen_and_hashable(self, name):
+        a, b = VALUE_TYPES[name][0](), VALUE_TYPES[name][0]()
+        assert hash(a) == hash(b)
+        first_field = VALUE_TYPES[name][1].split("(", 1)[1].split("=", 1)[0]
+        with pytest.raises(AttributeError):
+            setattr(a, first_field, None)
+        assert a == b
+
+    def test_output_record_holds_lists(self):
+        with pytest.raises(TypeError):
+            hash(VALUE_TYPES["OutputRecord"][0]())
+
+    def test_properties_and_methods(self):
+        freqs = frequency_list([1, _THIRD])
+        assert freqs.n == 2 and str(freqs) == "1, 1/3"
+        assert float(PiMultiple(Fraction(1))) == math.pi
+        assert str(PiMultiple(Fraction(1))) == "1 * pi"
+        assert _quad().total_error_bound == 1e-16
+        assert _check().holds and not _check().tie
+        assert str(_check()) == "a1 > a2: 1 > 1/3"
+        assert str(InequalityCheck("t", Fraction(1), Fraction(1))) == "t: 1 = 1"
+        assert str(InequalityCheck("t", Fraction(1), Fraction(2))) == "t: 1 < 2"
