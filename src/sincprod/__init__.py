@@ -8,9 +8,9 @@ with an independent floating-point quadrature oracle.
 
 The oracle is imported on first use of one of its names (``crosscheck``,
 ``quadrature_estimate``, ...), so the exact path does not load it. It needs
-numpy (and nothing else outside the standard library) only for sample sets
-over ``quadrature.SCALAR_FACTORS`` sample factors; smaller ones run in plain
-Python and load no numpy either.
+numpy (and nothing else outside the standard library) only for periodic
+sample sets over ``quadrature.SCALAR_FACTORS`` sample factors; smaller ones,
+and every direct-mode set, run in plain Python and load no numpy either.
 """
 
 import importlib

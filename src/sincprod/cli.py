@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 input error (an input over the engine's budget included
 for verify only when no exact value is left) or stdout closed before all output
 was written, 2 verification failure (routes disagree, the oracle disagrees, or a
 result breaks 0 < q <= 1/a_1), 3 the oracle could not certify the value (its
-cost is over budget, or a number it needs is outside double-precision range).
+cost is over budget, or a number it needs is outside double-precision range),
+or the tolerance is not below pi/a_1, so a pass would certify nothing.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"exact agreement: all {len(names)} values identical")
 
-    from . import quadrature  # numpy loads only for large sample sets; attributes are read per call, so wrappers apply
+    from . import quadrature  # numpy loads for large periodic sets; attributes are read per call, so wrappers apply
 
     try:
         quad = quadrature.quadrature_estimate(freqs, args.tolerance)

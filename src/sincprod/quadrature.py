@@ -34,24 +34,23 @@ most 6 ulps of the value. Each of the n factors of a sample is within
 _ULPS_PER_FACTOR = 64 ulps of its envelope min(1, 1/(a_j k h)), times
 max(1, a_1 k h) in direct mode, where arguments round in proportion to
 their size. The 64 ulps cover argument rounding (6 pi ulps after the exact
-reduction, 6 in direct mode), sin (numpy's or libm's math.sin, each taken
-as 2 ulps, 0.5 measured), quotient and product, and in periodic mode the
-Hurwitz zeta kernel on [1, 2] (taken as 16 ulps: truncation below 0.35 ulp,
-proven below, and rounding below 2.9 ulps measured against mpmath, with
-numpy's power and with float ** alike) with its argument and power. So
-rounding bound = 2 h (ulp of the sum + n * 64 ulps of the envelope sum)
-+ 6 ulps of the value + n * 2^-1074 per sample for underflow.
+reduction, 6 in direct mode), sin (libm's math.sin, in periodic mode also
+numpy's, each taken as 2 ulps, 0.5 measured), quotient and product, and in
+periodic mode the Hurwitz zeta kernel on [1, 2] (taken as 16 ulps:
+truncation below 0.35 ulp, proven below, and rounding below 2.9 ulps
+measured against mpmath, with numpy's power and with float ** alike) with
+its argument and power. So rounding bound = 2 h (ulp of the sum + n * 64
+ulps of the envelope sum) + 6 ulps of the value + n * 2^-1074 per sample
+for underflow.
 
 Both costs are Python numbers (M can exceed 10^400), compared before any
 array exists; past MAX_SAMPLES the oracle raises ToleranceError naming
-the cost. Up to SCALAR_FACTORS sample factors (n times the sample count)
-the samples are taken one at a time in Python ints and floats and numpy is
-never imported; larger sets go through numpy arrays. The choice depends on
-the input alone. Each scalar loop computes its array twin's expressions in
-the same order, so the accounting above covers both: they differ only in
-whose sin and power run, and in periodic mode the scalar loop reduces
-k w_j mod M in Python ints, the array loop in int64 (below 2^42 within
-MAX_SAMPLES).
+the cost. Direct mode takes its samples one at a time in Python floats.
+The periodic sample is one function, applied to one r or to an array: up
+to SCALAR_FACTORS sample factors (n times the sample count) to each r in
+Python ints and floats, so numpy is never imported, and past that to an
+int64 array (r w_j below 2^42 within MAX_SAMPLES). The choice depends on
+the input alone.
 
 Hurwitz zeta kernel: zeta(s, q) for integer s >= 2 and q in [1, 2] by
 Euler-Maclaurin summation of x^-s from q, with N = 9 direct terms,
@@ -89,13 +88,12 @@ __all__ = [
 ]
 
 MIN_TARGET = 1e-12
-# about one second and 100 MB of arrays; 1, 1/1000003 (M = 1000005) fits
+# about one second and 150 MB: 1, 1/1000003 (M = 1000005) on an array fits, as do 2e6 direct samples
 MAX_SAMPLES = 2_000_000
-# Up to this many sample factors (n * samples) the scalar loops run and numpy is never
-# imported. On a 2-core Xeon with CPython 3.11 they cost about 1.9 us a factor in periodic
-# mode (a 6917-sample pair: 26 ms, against 1.3 ms in numpy) and 0.3 us in direct mode, so
-# 10000 factors stay near 20 ms, well under the 0.14 s that importing numpy costs a fresh
-# process.
+# Periodic mode only: up to this many sample factors (n * samples) it takes one r at a time
+# and numpy is never imported. On a 2-core Xeon with CPython 3.11 that costs about 2.4 us a
+# factor (a 5000-sample pair: 24 ms, against 1.3 ms on an array), so 10000 factors stay
+# near 25 ms, well under the 0.17 s that importing numpy costs a fresh process.
 SCALAR_FACTORS = 10_000
 _ULP = 2.0**-53
 _ULPS_PER_FACTOR = 64
@@ -120,17 +118,6 @@ def _as_double(value: Fraction, what: str) -> float:
             "the quadrature oracle cannot evaluate it"
         )
     return result
-
-
-def _integrand_grid(a_floats: list[float], xs: np.ndarray) -> np.ndarray:
-    """prod_j sinc(a_j x) at every x; exactly even because only |x| is used."""
-    import numpy as np
-
-    out = np.ones_like(xs)
-    for a in a_floats:
-        t = a * np.abs(xs)
-        out *= np.where(t > 0, np.sin(t), 1.0) / np.where(t > 0, t, 1.0)  # sinc(0) = 1
-    return out
 
 
 def tail_bound(freqs: FrequencyList, R: float) -> float:
@@ -196,52 +183,23 @@ def _hurwitz_zeta(s: int, q: float | np.ndarray) -> float | np.ndarray:
     return total
 
 
-def _periodic_samples(weights: list[int], M: int) -> tuple[list[float], float]:
-    """f(r h) z_r for r = 1..M-1, with h = 2 pi L / M, and the sum of their envelope."""
-    import numpy as np
+def _periodic_sample(r: int | np.ndarray, weights: list[int], M: int, sin, minimum):
+    """f(r h) z_r and its envelope times z_r, with h = 2 pi L / M, for one int r or an int64 array.
 
-    r = np.arange(1, M, dtype=np.int64)
-    terms = np.ones(M - 1)
-    envelope = np.ones(M - 1)
+    sin and minimum are math.sin and min for an int, np.sin and np.minimum for an array.
+    """
+    term = bound = 1.0
     for w in weights:
         d = (r * w) / M * (2 * math.pi)  # a_j r h, unreduced
-        terms *= np.sin((r * w % M) / M * (2 * math.pi)) / d
-        envelope *= np.minimum(1.0, 1.0 / d)
+        term *= sin((r * w % M) / M * (2 * math.pi)) / d
+        bound *= minimum(1.0, 1.0 / d)
     x = r / M
     z = 1.0 + x ** len(weights) * _hurwitz_zeta(len(weights), 1.0 + x)
-    return (terms * z).tolist(), float((envelope * z).sum())
-
-
-def _periodic_scalar(weights: list[int], M: int) -> tuple[list[float], float]:
-    """_periodic_samples one r at a time, expression by expression, in Python ints and floats."""
-    n, sin, two_pi = len(weights), math.sin, 2 * math.pi
-    terms, envelope = [], 0.0
-    for r in range(1, M):
-        term = bound = 1.0
-        for w in weights:
-            d = (r * w) / M * two_pi
-            term *= sin((r * w % M) / M * two_pi) / d
-            bound *= 1.0 / d if d > 1.0 else 1.0  # min(1, 1/d); a call to min costs more than the rest
-        x = r / M
-        z = 1.0 + x**n * _hurwitz_zeta(n, 1.0 + x)
-        terms.append(term * z)
-        envelope += bound * z
-    return terms, envelope
+    return term * z, bound * z
 
 
 def _direct_samples(a_floats: list[float], h: float, K: int) -> tuple[list[float], float]:
-    """f(k h) for k = 1..K and the sum of their envelope; a_floats is non-increasing."""
-    import numpy as np
-
-    xs = np.arange(1, K + 1) * h
-    envelope = np.ones(K)
-    for a in a_floats[1:]:
-        envelope *= np.minimum(1.0, 1.0 / (a * xs))
-    return _integrand_grid(a_floats, xs).tolist(), float(envelope.sum())
-
-
-def _direct_scalar(a_floats: list[float], h: float, K: int) -> tuple[list[float], float]:
-    """_direct_samples one k at a time, expression by expression, in Python floats."""
+    """f(k h) for k = 1..K and the sum of their envelope, in Python floats; a_floats is non-increasing."""
     sin, first, rest = math.sin, a_floats[0], a_floats[1:]
     terms, envelope = [], 0.0
     for k in range(1, K + 1):
@@ -251,7 +209,7 @@ def _direct_scalar(a_floats: list[float], h: float, K: int) -> tuple[list[float]
         for a in rest:
             t = a * x
             term *= sin(t) / t
-            bound *= 1.0 / t if t > 1.0 else 1.0  # min(1, 1/t), as in _periodic_scalar
+            bound *= 1.0 / t if t > 1.0 else 1.0  # min(1, 1/t); a call to min costs more than the rest
         terms.append(term)
         envelope += bound
     return terms, envelope
@@ -262,8 +220,9 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
 
     Direct mode spends half the target on the tail. Rejected: n = 1 (the
     sampling theorem and the tail bound need n >= 2), targets below 1e-12
-    (double precision cannot certify them against values of order pi), and
-    inputs whose cheaper mode needs more than MAX_SAMPLES samples.
+    (double precision cannot certify them against values of order pi),
+    inputs whose cheaper mode needs more than MAX_SAMPLES samples, and
+    targets not below pi/a_1, which no value in (0, pi/a_1] can fail.
     """
     n = freqs.n
     if n < 2:
@@ -293,16 +252,27 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
             f"the oracle needs about 10^{math.log10(cost):.1f} samples (the cheaper of "
             f"periodic M - 1 and direct K), over its budget of {MAX_SAMPLES}"
         )
+    if target >= math.pi / a_floats[0]:
+        raise ToleranceError(f"target {target} is not below pi/a_1 = {math.pi / a_floats[0]:.6g}, the value's own size")
     mode, samples = ("periodic", M - 1) if M - 1 <= K else ("direct", K)
-    scalar = n * samples <= SCALAR_FACTORS  # decided by the input alone
     if mode == "periodic":
         R = _as_double(2 * L * Fraction(math.pi), "one period 2*pi*lcm of the denominators")
         h = R / M
-        terms, envelope = (_periodic_scalar if scalar else _periodic_samples)(weights, M)
+        if n * samples <= SCALAR_FACTORS:  # decided by the input alone
+            terms, envelope = [], 0.0
+            for r in range(1, M):
+                term, bound = _periodic_sample(r, weights, M, math.sin, min)
+                terms.append(term)
+                envelope += bound
+        else:
+            import numpy as np
+
+            terms, bounds = _periodic_sample(np.arange(1, M, dtype=np.int64), weights, M, np.sin, np.minimum)
+            terms, envelope = terms.tolist(), float(bounds.sum())
         tail = 0.0
     else:
         R = K * h
-        terms, envelope = (_direct_scalar if scalar else _direct_samples)(a_floats, h, K)
+        terms, envelope = _direct_samples(a_floats, h, K)
         tail = tail_bound(freqs, R)
 
     total = math.fsum(terms)

@@ -311,6 +311,12 @@ class TestVerify:
         assert "exact agreement: all" in out and "quadrature" not in out
         assert err.startswith("could not certify: ") and "samples" in err
 
+    def test_tolerance_as_wide_as_the_value_exits_three(self, capsys):
+        code, out, err = run(capsys, "verify", "1", "1/3", "--tolerance", "1e300")
+        assert code == 3
+        assert "exact agreement: all" in out and "quadrature" not in out
+        assert err.startswith("could not certify: ") and "not below pi/a_1" in err
+
     def test_brute_row_skipped_above_limit(self, capsys):
         code, out, _ = run(capsys, "verify", *RECIPROCAL_PRIMES_21)
         assert code == 0
@@ -522,7 +528,9 @@ import sincprod.cli
 
 assert sincprod.cli.main(["verify", "1", "1/3", "1/5"]) == 0
 assert sincprod.crosscheck(sincprod.classical_frequencies(8), 1e-10).passed
-assert "numpy" not in sys.modules  # small sample sets take the scalar loops
+assert "numpy" not in sys.modules  # small periodic sample sets run in plain Python
+assert sincprod.cli.main(["verify", "1/97", "1/89", "1/83", "1/79", "--tolerance", "1e-10"]) == 0
+assert "numpy" not in sys.modules  # direct mode, 26 812 sample factors
 pair = sincprod.frequency_list([Fraction(1), Fraction(1, 10007)])
 assert sincprod.crosscheck(pair, 1e-10).passed  # 2 * 10008 sample factors
 assert "numpy" in sys.modules

@@ -23,8 +23,8 @@ from sincprod.quadrature import (
     _ULP,
     _ZETA_DIRECT_TERMS,
     _ZETA_EM_COEFFICIENTS,
+    _direct_samples,
     _hurwitz_zeta,
-    _integrand_grid,
 )
 
 ZETA_ULPS = 16  # the zeta kernel's share of _ULPS_PER_FACTOR in the quadrature docstring
@@ -36,7 +36,10 @@ def fl(*values):
 
 
 def crosscheck_both_paths(freqs, target):
-    """crosscheck through the array loops and through the scalar loops; both must agree and pass."""
+    """crosscheck with the periodic sample taken on an array and one r at a time; both must agree and pass.
+
+    SCALAR_FACTORS switches periodic inputs only: direct mode has one loop, so its two reports are equal.
+    """
     reports = []
     for limit in (0, math.inf):
         with mock.patch.object(quadrature, "SCALAR_FACTORS", limit):
@@ -49,15 +52,12 @@ def crosscheck_both_paths(freqs, target):
 
 
 def integrand(freqs, x):
-    """prod_j sinc(a_j x) at one point, through the oracle's vectorised kernel."""
-    return float(_integrand_grid([float(a) for a in freqs.sorted_entries], np.array([x]))[0])
+    """prod_j sinc(a_j x) at one x > 0, through the direct sample loop with h = x and K = 1."""
+    (value,), _ = _direct_samples([float(a) for a in freqs.sorted_entries], x, 1)
+    return value
 
 
 class TestIntegrand:
-    def test_at_zero(self):
-        assert integrand(fl(1, "1/3", "1/5"), 0.0) == 1.0
-        assert integrand(fl(7), 0.0) == 1.0
-
     def test_sin_zero(self):
         assert abs(integrand(fl(1), math.pi)) < 1e-15
 
@@ -71,11 +71,6 @@ class TestIntegrand:
         freqs = fl(1)
         for t in (9.999e-5, 1.0001e-4):
             assert integrand(freqs, t) == pytest.approx(math.sin(t) / t, abs=1e-15)
-
-    @given(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False))
-    def test_even_to_the_last_bit(self, x):
-        freqs = fl(1, "1/3", "2/7")
-        assert integrand(freqs, x) == integrand(freqs, -x)
 
 
 class TestHurwitzZetaKernel:
@@ -189,6 +184,14 @@ class TestQuadratureEstimate:
         with pytest.raises(ToleranceError, match=match):
             quadrature_estimate(fl(*values), 1e-8)
 
+    @pytest.mark.parametrize("values,width", [((1, "1/3"), math.pi), (("1/2", "1/7"), 2 * math.pi)])
+    def test_rejects_targets_not_below_the_values_size(self, values, width):
+        for target in (width, 1e300):
+            for run in (quadrature_estimate, crosscheck):
+                with pytest.raises(ToleranceError, match="not below pi/a_1"):  # the value lies in (0, pi/a_1]
+                    run(fl(*values), target)
+        assert crosscheck(fl(*values), math.nextafter(width, 0.0)).passed
+
     def test_over_budget_names_its_cost_without_allocating(self):
         freqs = fl(1, Fraction(10**400, 10**400 + 1))  # M = 2*10^400 + 2, direct K about 1.3e8
         tracemalloc.start()
@@ -199,6 +202,28 @@ class TestQuadratureEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize(
+        "freqs,target,mode,value,rounding,tail,rel",
+        [
+            (fl(1, "1/3", "1/5"), 1e-9, "periodic", "0x1.921fb54442d18p+1", "0x1.846bc554dcaffp-45", "0x0.0p+0", 0),
+            (fl(1, "1/10007"), 1e-10, "periodic", "0x1.921fb54442d0ep+1", "0x1.208c01c1d30a6p-42", "0x0.0p+0", 0),
+            (
+                classical_frequencies(8), 1e-10, "direct",
+                "0x1.921fb54429537p+1", "0x1.30e9c9648cd88p-41", "0x1.9dbe09717672bp-35", 0,
+            ),
+            # 26 812 sample factors: the envelope's summation order is not pinned, only its size
+            (
+                fl("1/97", "1/89", "1/83", "1/79"), 1e-10, "direct",
+                "0x1.68650a874f4f9p+7", "0x1.86f71ac3ac015p-39", "0x1.b7a4923ce4763p-35", 1e-12,
+            ),
+        ],
+        ids=["periodic-69-factors", "periodic-20016-factors", "direct-512-factors", "direct-26812-factors"],
+    )
+    def test_pinned_bits(self, freqs, target, mode, value, rounding, tail, rel):
+        result = quadrature_estimate(freqs, target)
+        assert (result.mode, result.value.hex(), result.tail_bound.hex()) == (mode, value, tail)
+        assert abs(result.rounding_bound - float.fromhex(rounding)) <= rel * float.fromhex(rounding)
 
     def test_periodic_mode_samples_one_period(self):
         result = quadrature_estimate(fl(1, "1/10007"), 1e-10)
