@@ -27,8 +27,8 @@ unimodal, so 0 < q <= 1/a_1 (D. Borwein and J. M. Borwein, Ramanujan J. 5,
 2001). A value outside it is a defect, reported as VerificationError.
 
 Internally all arithmetic is on integers: frequencies are scaled by the
-lcm of their denominators, so every lam is an integer and the single
-division back to a rational happens once at the end.
+lcm of their denominators, so every lam is an integer, and integral_coefficient
+divides back to a rational once, at the end, and checks the bound in integers.
 """
 
 from __future__ import annotations
@@ -144,8 +144,10 @@ def integral_coefficient(
     # strategy stays positional: perfbench's tracer labels the span from args[1]
     moment = signed_moment_sum(freqs, strategy)
     n = freqs.n
-    coefficient = moment / (Fraction(2) ** (n - 1) * math.factorial(n - 1) * freqs.product())
-    if not 0 < coefficient <= 1 / freqs.sorted_entries[0]:
+    weights, scale = _integer_weights(freqs)  # a_j = w_j / scale
+    denominator = moment.denominator * 2 ** (n - 1) * math.factorial(n - 1) * math.prod(weights)
+    coefficient = Fraction(moment.numerator * scale**n, denominator)
+    if not 0 < coefficient.numerator * weights[0] <= scale * coefficient.denominator:  # 1/a_1 = scale / w_1
         raise VerificationError(
             f"engine gave {coefficient} for ({freqs}), outside the proven "
             f"bound 0 < q <= 1/a_1 = {1 / freqs.sorted_entries[0]}"

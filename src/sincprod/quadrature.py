@@ -33,15 +33,20 @@ bound. math.fsum rounds the sample sum once, and h * (1 + 2 sum) costs at
 most 6 ulps of the value. Each of the n factors of a sample is within
 _ULPS_PER_FACTOR = 64 ulps of its envelope min(1, 1/(a_j k h)), times
 max(1, a_1 k h) in direct mode, where arguments round in proportion to
-their size. The 64 ulps cover argument rounding (6 pi ulps after the exact
-reduction, 6 in direct mode), sin (libm's math.sin, in periodic mode also
-numpy's, each taken as 2 ulps, 0.5 measured), quotient and product, and in
-periodic mode the Hurwitz zeta kernel on [1, 2] (taken as 16 ulps:
-truncation below 0.35 ulp, proven below, and rounding below 2.9 ulps
-measured against mpmath, with numpy's power and with float ** alike) with
-its argument and power. So rounding bound = 2 h (ulp of the sum + n * 64
-ulps of the envelope sum) + 6 ulps of the value + n * 2^-1074 per sample
-for underflow.
+their size. In ulps of that envelope: argument rounding 6 pi < 19 after the
+exact reduction (6 in direct mode); sin 2 (libm's math.sin, in periodic
+mode also numpy's; 0.5 measured); quotient and running product 2; in
+periodic mode z_r, whose Hurwitz zeta kernel on [1, 2] takes 16 ulps
+(truncation below 0.35 ulp, proven below, and rounding below 2.9 ulps
+measured against mpmath, with numpy's power and with float ** alike) and
+its argument, power and sum 2n + 4 more per sample: at most 12 a factor.
+That is 35 ulps (10 in direct mode), so 29 of the 64 are slack, and the
+slack absorbs the rounding of the envelope sum itself: each of its K terms
+(K = M - 1 in periodic mode) is within (4n + 20) ulps, and the sum, left to
+right or pairwise, adds a relative (K - 1) 2^-53 <= 2.3e-10 at MAX_SAMPLES,
+far below 29/64 for any n below 10^14. Hence rounding bound = 2 h (ulp of
+the sum + n * 64 ulps of the envelope sum) + 6 ulps of the value +
+n * 2^-1074 per sample for underflow.
 
 Both costs are Python numbers (M can exceed 10^400), compared before any
 array exists; past MAX_SAMPLES the oracle raises ToleranceError naming
@@ -105,19 +110,34 @@ _ZETA_EM_COEFFICIENTS = tuple(
 )
 
 
-def _as_double(value: Fraction, what: str) -> float:
-    """float(value), refusing values that double precision turns into 0 or inf."""
+def _as_double(num: int, den: int, what: str) -> float:
+    """num / den, correctly rounded, refusing ratios that double precision turns into 0 or inf."""
     try:
-        result = float(value)
+        result = num / den
     except OverflowError:
         result = math.inf
     if result == 0.0 or math.isinf(result):
-        exponent = round((value.numerator.bit_length() - value.denominator.bit_length()) * math.log10(2))
+        g = math.gcd(num, den)
+        exponent = round(((num // g).bit_length() - (den // g).bit_length()) * math.log10(2))
         raise ToleranceError(
             f"{what} is about 1e{exponent}, outside double-precision range; "
             "the quadrature oracle cannot evaluate it"
         )
     return result
+
+
+def _tail_bound(n: int, prod_num: int, prod_den: int, R: float) -> float:
+    """2 / ((n-1) R^(n-1) prod a_j), prod a_j = prod_num / prod_den, exact until one int / int, then rounded up."""
+    if R == math.inf:
+        return 0.0
+    r_num, r_den = R.as_integer_ratio()
+    num, den = 2 * prod_den * r_den ** (n - 1), (n - 1) * r_num ** (n - 1) * prod_num
+    try:
+        bound = num / den
+    except OverflowError:
+        return math.inf
+    b_num, b_den = bound.as_integer_ratio()
+    return bound if b_num * den >= num * b_den else math.nextafter(bound, math.inf)
 
 
 def tail_bound(freqs: FrequencyList, R: float) -> float:
@@ -132,16 +152,10 @@ def tail_bound(freqs: FrequencyList, R: float) -> float:
         )
     if not (R > 0):
         raise ValidationError(f"window edge must be positive, got {R}")
-    _as_double(freqs.product(), "the frequency product")  # refused as quadrature_estimate refuses it
-    if R == math.inf:
-        return 0.0
-    # exact, then rounded up once: R^(n-1) and the product may leave double range on their own
-    exact = 2 / ((freqs.n - 1) * Fraction(R) ** (freqs.n - 1) * freqs.product())
-    try:
-        bound = float(exact)
-    except OverflowError:
-        return math.inf
-    return bound if Fraction(bound) >= exact else math.nextafter(bound, math.inf)
+    weights, L = _integer_weights(freqs)
+    prod_num, prod_den = math.prod(weights), L**freqs.n
+    _as_double(prod_num, prod_den, "the frequency product")  # refused as quadrature_estimate refuses it
+    return _tail_bound(freqs.n, prod_num, prod_den, R)
 
 
 class QuadratureResult(NamedTuple):
@@ -236,15 +250,18 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
     if target < MIN_TARGET:
         raise ToleranceError(f"target {target} is below the achievable floor {MIN_TARGET}")
 
-    a_floats = [_as_double(a, "a frequency") for a in freqs.sorted_entries]
-    prod_a = _as_double(freqs.product(), "the frequency product")
-    omega = sum(freqs.sorted_entries)
-    # float(2*pi_double/omega) rounds once, and pi_double < pi; the factor keeps h below 2*pi/omega
-    h = _as_double(2 * Fraction(math.pi) / omega, "the sampling step 2*pi/omega") * (1 - 2.0**-50)
+    # exact quantities are integer ratios, each rounded once by a correctly rounded int / int: a_j = w_j / L,
+    # omega = W / L and pi_double = pi_num / pi_den < pi; the factor keeps h below 2*pi/omega
+    weights, L = _integer_weights(freqs)
+    pi_num, pi_den = math.pi.as_integer_ratio()
+    W = sum(weights)
+    a_floats = [_as_double(w, L, "a frequency") for w in weights]
+    prod_num, prod_den = math.prod(weights), L**n
+    prod_a = _as_double(prod_num, prod_den, "the frequency product")
+    h = _as_double(2 * pi_num * L, pi_den * W, "the sampling step 2*pi/omega") * (1 - 2.0**-50)
     log_k = (math.log10(4 / ((n - 1) * target)) - math.log10(prod_a)) / (n - 1) - math.log10(h)
     K = math.floor(10**log_k) + 1 if log_k < 18 else math.inf  # tail_bound(freqs, K*h) <= target/2
-    weights, L = _integer_weights(freqs)
-    M = sum(weights) + 1
+    M = W + 1
 
     cost = min(M - 1, K)
     if cost > MAX_SAMPLES:
@@ -256,7 +273,7 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
         raise ToleranceError(f"target {target} is not below pi/a_1 = {math.pi / a_floats[0]:.6g}, the value's own size")
     mode, samples = ("periodic", M - 1) if M - 1 <= K else ("direct", K)
     if mode == "periodic":
-        R = _as_double(2 * L * Fraction(math.pi), "one period 2*pi*lcm of the denominators")
+        R = _as_double(2 * L * pi_num, pi_den, "one period 2*pi*lcm of the denominators")
         h = R / M
         if n * samples <= SCALAR_FACTORS:  # decided by the input alone
             terms, envelope = [], 0.0
@@ -273,7 +290,7 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
     else:
         R = K * h
         terms, envelope = _direct_samples(a_floats, h, K)
-        tail = tail_bound(freqs, R)
+        tail = _tail_bound(n, prod_num, prod_den, R)
 
     total = math.fsum(terms)
     value = h * (1.0 + 2.0 * total)

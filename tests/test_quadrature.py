@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -55,6 +56,39 @@ def integrand(freqs, x):
     """prod_j sinc(a_j x) at one x > 0, through the direct sample loop with h = x and K = 1."""
     (value,), _ = _direct_samples([float(a) for a in freqs.sorted_entries], x, 1)
     return value
+
+
+# input and target, then the result's mode, samples, R.hex(), value.hex(), rounding and tail bounds in hex,
+# and the relative tolerance on the rounding bound
+PINNED = [
+    (
+        fl(1, "1/3", "1/5"), 1e-9, "periodic", 23, "0x1.78fdb9effea46p+6",
+        "0x1.921fb54442d18p+1", "0x1.846bc554dcaffp-45", "0x0.0p+0", 0,
+    ),
+    (
+        fl(1, "1/10007"), 1e-10, "periodic", 10008, "0x1.eb37abb57a7f6p+15",
+        "0x1.921fb54442d0ep+1", "0x1.208c01c1d30a6p-42", "0x0.0p+0", 0,
+    ),
+    (
+        classical_frequencies(8), 1e-10, "direct", 64, "0x1.8dc9b3039edbbp+7",
+        "0x1.921fb54429537p+1", "0x1.30e9c9648cd88p-41", "0x1.9dbe09717672bp-35", 0,
+    ),
+    # 26 812 sample factors: the envelope's summation order is not pinned, only its size
+    (
+        fl("1/97", "1/89", "1/83", "1/79"), 1e-10, "direct", 6703, "0x1.bc9f7910e8270p+19",
+        "0x1.68650a874f4f9p+7", "0x1.86f71ac3ac015p-39", "0x1.b7a4923ce4763p-35", 1e-12,
+    ),
+    # the exact tail bound lies above its nearest double, so the bound is rounded up by one ulp
+    (
+        classical_frequencies(5), 1e-10, "direct", 499, "0x1.b68db230d9220p+10",
+        "0x1.921fb54442d0fp+1", "0x1.69dc0ba9ec06ep-42", "0x1.b6e54d2d19c7dp-35", 0,
+    ),
+    # the nearest double already lies above the exact tail bound
+    (
+        classical_frequencies(6), 1e-9, "direct", 115, "0x1.80b5be623bd1fp+8",
+        "0x1.921fb5444b60fp+1", "0x1.b85cb12ce10b3p-42", "0x1.0f42ce759d25fp-31", 0,
+    ),
+]
 
 
 class TestIntegrand:
@@ -131,6 +165,25 @@ class TestTailBound:
             bound = tail_bound(freqs, R)
             assert Fraction(bound) >= exact and Fraction(math.nextafter(bound, 0.0)) < exact
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)), min_size=2, max_size=12),
+        st.one_of(
+            st.floats(1e-3, 1e12),
+            st.integers(1, 10**12),
+            st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**6)),
+        ),
+    )
+    def test_is_the_smallest_double_above_the_exact_bound(self, values, R):
+        freqs = frequency_list(values)
+        n = freqs.n
+        exact = 2 / ((n - 1) * Fraction(R) ** (n - 1) * freqs.product())
+        bound = tail_bound(freqs, R)
+        if exact > Fraction(sys.float_info.max):
+            assert bound == math.inf
+        else:
+            assert Fraction(bound) >= exact > Fraction(math.nextafter(bound, 0.0))
+
     def test_doubling_r_for_n2(self):
         freqs = fl(1, "1/3")
         assert tail_bound(freqs, 200.0) == pytest.approx(tail_bound(freqs, 100.0) / 2, rel=1e-12)
@@ -204,26 +257,27 @@ class TestQuadratureEstimate:
         assert peak < 100_000
 
     @pytest.mark.parametrize(
-        "freqs,target,mode,value,rounding,tail,rel",
-        [
-            (fl(1, "1/3", "1/5"), 1e-9, "periodic", "0x1.921fb54442d18p+1", "0x1.846bc554dcaffp-45", "0x0.0p+0", 0),
-            (fl(1, "1/10007"), 1e-10, "periodic", "0x1.921fb54442d0ep+1", "0x1.208c01c1d30a6p-42", "0x0.0p+0", 0),
-            (
-                classical_frequencies(8), 1e-10, "direct",
-                "0x1.921fb54429537p+1", "0x1.30e9c9648cd88p-41", "0x1.9dbe09717672bp-35", 0,
-            ),
-            # 26 812 sample factors: the envelope's summation order is not pinned, only its size
-            (
-                fl("1/97", "1/89", "1/83", "1/79"), 1e-10, "direct",
-                "0x1.68650a874f4f9p+7", "0x1.86f71ac3ac015p-39", "0x1.b7a4923ce4763p-35", 1e-12,
-            ),
+        "freqs,target,mode,samples,R,value,rounding,tail,rel",
+        PINNED,
+        ids=[
+            "periodic-69-factors", "periodic-20016-factors", "direct-512-factors", "direct-26812-factors",
+            "direct-tail-rounded-up", "direct-tail-already-above",
         ],
-        ids=["periodic-69-factors", "periodic-20016-factors", "direct-512-factors", "direct-26812-factors"],
     )
-    def test_pinned_bits(self, freqs, target, mode, value, rounding, tail, rel):
+    def test_pinned_bits(self, freqs, target, mode, samples, R, value, rounding, tail, rel):
         result = quadrature_estimate(freqs, target)
-        assert (result.mode, result.value.hex(), result.tail_bound.hex()) == (mode, value, tail)
+        assert (result.mode, result.samples, result.R.hex()) == (mode, samples, R)
+        assert (result.value.hex(), result.tail_bound.hex()) == (value, tail)
         assert abs(result.rounding_bound - float.fromhex(rounding)) <= rel * float.fromhex(rounding)
+
+    def test_exact_quantities_come_from_the_integer_weights(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fraction arithmetic on the oracle's success path")
+
+        expected = [quadrature_estimate(freqs, target) for freqs, target, *_ in PINNED]
+        monkeypatch.setattr("sincprod.core.FrequencyList.product", refuse)
+        monkeypatch.setattr("sincprod.quadrature.Fraction", refuse)
+        assert [quadrature_estimate(freqs, target) for freqs, target, *_ in PINNED] == expected
 
     def test_periodic_mode_samples_one_period(self):
         result = quadrature_estimate(fl(1, "1/10007"), 1e-10)
