@@ -15,86 +15,17 @@ and every direct-mode set, run in plain Python and load no numpy either.
 
 import importlib
 
-from .closed_forms import (
-    CorrectionTerm,
-    DominanceClass,
-    DominanceTag,
-    Evaluation,
-    InequalityCheck,
-    classical_frequencies,
-    classify_dominance,
-    closed_form_values,
-    correction_term,
-    evaluate,
-)
-from .core import (
-    FrequencyList,
-    PiMultiple,
-    format_rational,
-    frequency_list,
-    load_frequency_file,
-    parse_rational,
-)
-from .engine import (
-    EnumerationStrategy,
-    integral_coefficient,
-    signed_moment_sum,
-)
-from .errors import (
-    ApplicabilityError,
-    CapacityError,
-    RationalParseError,
-    SincprodError,
-    ToleranceError,
-    ValidationError,
-    VerificationError,
-)
-_QUADRATURE_NAMES = frozenset(
-    {
-        "CrosscheckReport",
-        "QuadratureResult",
-        "crosscheck",
-        "quadrature_estimate",
-        "tail_bound",
-    }
-)
+from . import closed_forms, core, engine, errors
+from .closed_forms import *
+from .core import *
+from .engine import *
+from .errors import *
+
+_QUADRATURE_NAMES = ("CrosscheckReport", "QuadratureResult", "crosscheck", "quadrature_estimate", "tail_bound")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrectionTerm",
-    "DominanceClass",
-    "DominanceTag",
-    "Evaluation",
-    "InequalityCheck",
-    "classical_frequencies",
-    "classify_dominance",
-    "closed_form_values",
-    "correction_term",
-    "evaluate",
-    "FrequencyList",
-    "PiMultiple",
-    "format_rational",
-    "frequency_list",
-    "load_frequency_file",
-    "parse_rational",
-    "EnumerationStrategy",
-    "integral_coefficient",
-    "signed_moment_sum",
-    "ApplicabilityError",
-    "CapacityError",
-    "RationalParseError",
-    "SincprodError",
-    "ToleranceError",
-    "ValidationError",
-    "VerificationError",
-    "CrosscheckReport",
-    "QuadratureResult",
-    "crosscheck",
-    "quadrature_estimate",
-    "tail_bound",
-    "__version__",
-]
+__all__ = [*closed_forms.__all__, *core.__all__, *engine.__all__, *errors.__all__, *_QUADRATURE_NAMES, "__version__"]
 
 
 def __getattr__(name):

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .closed_forms import classical_frequencies, classify_dominance, closed_form_values, evaluate
 from .core import (
@@ -40,43 +40,30 @@ from .core import (
 from .engine import EnumerationStrategy, integral_coefficient
 from .errors import CapacityError, SincprodError, ToleranceError, VerificationError
 
-# The value types are NamedTuples because importing dataclasses pulls in inspect, ast and dis,
-# and json is imported in the --json branches only: a plain exact call loads neither.
+
+def _record(freqs: FrequencyList, value, classification, provenance: str, digits: int, verified=None) -> dict:
+    return {
+        "freqs": [format_rational(a) for a in freqs.entries],
+        "n": freqs.n,
+        "coefficient": format_rational(value.coefficient),
+        "decimal": value.decimal(digits),
+        "classification": classification.tag.value,
+        "provenance": provenance,
+        "verified": verified,
+    }
 
 
-class OutputRecord(NamedTuple):
-    freqs: list[str]
-    n: int
-    coefficient: str
-    decimal: str
-    classification: str
-    provenance: str
-    verified: Optional[dict] = None
-
-
-def _record(freqs: FrequencyList, value, classification, provenance: str, digits: int, verified=None) -> OutputRecord:
-    return OutputRecord(
-        freqs=[format_rational(a) for a in freqs.entries],
-        n=freqs.n,
-        coefficient=format_rational(value.coefficient),
-        decimal=value.decimal(digits),
-        classification=classification.tag.value,
-        provenance=provenance,
-        verified=verified,
-    )
-
-
-def _print_record(record: OutputRecord, as_json: bool) -> None:
+def _print_record(record: dict, as_json: bool) -> None:
     if as_json:
         import json
 
-        print(json.dumps(record._asdict(), indent=2))
+        print(json.dumps(record, indent=2))
         return
-    print(f"frequencies: {', '.join(record.freqs)}  (n = {record.n})")
-    print(f"coefficient: {record.coefficient}")
-    print(f"value: {record.decimal}  (coefficient * pi)")
-    print(f"classification: {record.classification}")
-    print(f"provenance: {record.provenance}")
+    print(f"frequencies: {', '.join(record['freqs'])}  (n = {record['n']})")
+    print(f"coefficient: {record['coefficient']}")
+    print(f"value: {record['decimal']}  (coefficient * pi)")
+    print(f"classification: {record['classification']}")
+    print(f"provenance: {record['provenance']}")
 
 
 def _freqs_from_args(args: argparse.Namespace) -> FrequencyList:
@@ -146,13 +133,13 @@ def _cmd_classic_table(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        print(json.dumps({"rows": [r._asdict() for r in rows]}, indent=2))
+        print(json.dumps({"rows": rows}, indent=2))
         return 0
-    coeff_width = max(len(r.coefficient) for r in rows)
+    coeff_width = max(len(r["coefficient"]) for r in rows)
     for row in rows:
         print(
-            f"n = {row.n:2d}  coefficient = {row.coefficient:<{coeff_width}}  "
-            f"value = {row.decimal}  [{row.classification}]"
+            f"n = {row['n']:2d}  coefficient = {row['coefficient']:<{coeff_width}}  "
+            f"value = {row['decimal']}  [{row['classification']}]"
         )
     return 0
 

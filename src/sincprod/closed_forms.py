@@ -19,8 +19,10 @@ every formula use. One table maps each provenance name to its formula:
 `evaluate` takes the row its classification routes to, and
 `closed_form_values` returns every row whose hypothesis holds, which the
 CLI's `verify` compares. Every closed form is verified against the
-enumeration engine in the test suite, and `evaluate` re-checks at runtime
-for small n.
+enumeration engine in the test suite; `evaluate` re-checks at runtime
+for small n, and checks every value it returns against the proven bound
+0 < q <= 1/a_1. The formulas themselves are not in `__all__`: import them
+from this module by name.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .core import FrequencyList, PiMultiple, frequency_list
-from .engine import integral_coefficient
+from .engine import _check_bound, integral_coefficient
 from .errors import ApplicabilityError, ValidationError, VerificationError
 
 __all__ = [
@@ -42,12 +44,7 @@ __all__ = [
     "Evaluation",
     "classical_frequencies",
     "classify_dominance",
-    "first_dominant_value",
     "correction_term",
-    "first_dominant_correction",
-    "three_dominant_value",
-    "three_dominant_equal_first_two",
-    "three_frequency_value",
     "closed_form_values",
     "evaluate",
 ]
@@ -307,7 +304,8 @@ def evaluate(freqs: FrequencyList, verify: bool = True) -> Evaluation:
     Takes the formula the classification routes to, falling back to the
     enumeration engine when none applies. While n <= VERIFY_LIMIT (and
     `verify` is left on) a chosen closed form is recomputed through the
-    engine and any disagreement raises VerificationError.
+    engine; any disagreement, or a value outside the proven bound
+    0 < q <= 1/a_1 at any n, raises VerificationError.
     """
     classification = classify_dominance(freqs)
     routes = {tag: (name, formula) for name, (tag, formula) in _table().items() if tag is not None}
@@ -325,4 +323,5 @@ def evaluate(freqs: FrequencyList, verify: bool = True) -> Evaluation:
                 f"{engine_value.coefficient} for ({freqs})"
             )
         verified = True
+    _check_bound(provenance, value.coefficient, freqs)
     return Evaluation(value, provenance, classification, verified)

@@ -132,6 +132,13 @@ def signed_moment_sum(
     return Fraction(kernel(weights, n), scale ** (n - 1))
 
 
+def _check_bound(source: str, q: Fraction, freqs: FrequencyList) -> None:
+    """Raise VerificationError unless q keeps the proven bound 0 < q <= 1/a_1, compared in integers."""
+    a1 = freqs.sorted_entries[0]
+    if not 0 < q.numerator * a1.numerator <= q.denominator * a1.denominator:
+        raise VerificationError(f"{source} gave {q} for ({freqs}), outside the proven bound 0 < q <= 1/a_1 = {1 / a1}")
+
+
 def integral_coefficient(
     freqs: FrequencyList,
     strategy: EnumerationStrategy = EnumerationStrategy.MEET_IN_MIDDLE,
@@ -147,9 +154,5 @@ def integral_coefficient(
     weights, scale = _integer_weights(freqs)  # a_j = w_j / scale
     denominator = moment.denominator * 2 ** (n - 1) * math.factorial(n - 1) * math.prod(weights)
     coefficient = Fraction(moment.numerator * scale**n, denominator)
-    if not 0 < coefficient.numerator * weights[0] <= scale * coefficient.denominator:  # 1/a_1 = scale / w_1
-        raise VerificationError(
-            f"engine gave {coefficient} for ({freqs}), outside the proven "
-            f"bound 0 < q <= 1/a_1 = {1 / freqs.sorted_entries[0]}"
-        )
+    _check_bound("engine", coefficient, freqs)
     return PiMultiple(coefficient)

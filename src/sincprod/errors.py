@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "SincprodError",
+    "RationalParseError",
+    "ValidationError",
+    "ApplicabilityError",
+    "CapacityError",
+    "ToleranceError",
+    "VerificationError",
+]
+
 
 class SincprodError(Exception):
     """Base class for all errors raised by this package."""

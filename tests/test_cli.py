@@ -509,6 +509,7 @@ heavy = sorted(m for m in ("numpy", "scipy", "mpmath") if m in sys.modules)
 assert not heavy, heavy
 slow = sorted(m for m in ("dataclasses", "inspect", "json") if m in sys.modules and m not in bare)
 assert not slow, slow
+assert "sincprod.quadrature" not in sys.modules
 exported = list(sincprod.__all__)
 assert callable(sincprod.crosscheck)
 assert sincprod.quadrature is sys.modules["sincprod.quadrature"]
@@ -586,6 +587,50 @@ class TestLazyImports:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             sincprod.no_such_name
+
+
+PUBLIC_NAMES = {
+    "CorrectionTerm", "DominanceClass", "DominanceTag", "Evaluation", "InequalityCheck",
+    "classical_frequencies", "classify_dominance", "closed_form_values", "correction_term", "evaluate",
+    "FrequencyList", "PiMultiple", "format_rational", "frequency_list", "load_frequency_file", "parse_rational",
+    "EnumerationStrategy", "integral_coefficient", "signed_moment_sum",
+    "ApplicabilityError", "CapacityError", "RationalParseError", "SincprodError",
+    "ToleranceError", "ValidationError", "VerificationError",
+    "CrosscheckReport", "QuadratureResult", "crosscheck", "quadrature_estimate", "tail_bound",
+    "__version__",
+}
+
+# module -> attribute paths that perfbench's tracer wraps or reads
+TRACED = {
+    "closed_forms": (
+        "first_dominant_value", "first_dominant_correction", "three_dominant_value",
+        "three_dominant_equal_first_two", "three_frequency_value", "classify_dominance", "evaluate",
+    ),
+    "engine": ("signed_moment_sum", "EnumerationStrategy.BRUTE_FORCE"),
+    "core": ("parse_rational", "frequency_list", "load_frequency_file", "PiMultiple.decimal"),
+}
+TRACED_PATHS = [(module, path) for module, paths in TRACED.items() for path in paths]
+
+
+class TestPublicSurface:
+    def test_the_package_exports_the_same_names(self):
+        assert len(sincprod.__all__) == len(PUBLIC_NAMES) == 32
+        assert set(sincprod.__all__) == PUBLIC_NAMES
+        namespace = {}
+        exec("from sincprod import *", namespace)
+        assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+
+    def test_each_name_is_declared_by_one_module(self):
+        lists = [getattr(sincprod, m).__all__ for m in ("closed_forms", "core", "engine", "errors", "quadrature")]
+        declared = [name for names in lists for name in names] + ["__version__"]
+        assert sorted(declared) == sorted(PUBLIC_NAMES)
+
+    @pytest.mark.parametrize("module,path", TRACED_PATHS, ids=[f"{m}.{p}" for m, p in TRACED_PATHS])
+    def test_traced_names_stay_attributes_of_their_module(self, module, path):
+        target = importlib.import_module(f"sincprod.{module}")
+        for part in path.split("."):
+            target = getattr(target, part)
+        assert callable(target) or isinstance(target, sincprod.EnumerationStrategy)
 
 
 SHOW_BREAK = Path(sincprod.__file__).resolve().parents[2] / "scripts" / "show_break.py"

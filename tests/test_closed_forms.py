@@ -9,7 +9,9 @@ from sincprod import (
     ApplicabilityError,
     DominanceTag,
     EnumerationStrategy,
+    PiMultiple,
     ValidationError,
+    VerificationError,
     classical_frequencies,
     classify_dominance,
     closed_form_values,
@@ -19,6 +21,7 @@ from sincprod import (
     integral_coefficient,
 )
 from sincprod import closed_forms
+from sincprod.cli import main
 from sincprod.closed_forms import (
     VERIFY_LIMIT,
     first_dominant_correction,
@@ -38,6 +41,9 @@ from support import (
 I8_COEFFICIENT = 1 - Fraction(6879714958723010531, 467807924720320453655260875000)
 
 positive_fractions = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20)
+
+
+PRIMES_TO_71 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
 
 
 def fl(*values):
@@ -293,6 +299,33 @@ class TestEvaluate:
         assert closed_form.n == VERIFY_LIMIT
         assert result.provenance == "first-dominant"
         assert result.verified
+
+    def test_closed_form_disagreeing_with_the_engine_names_both_values(self, monkeypatch):
+        # 17/28 lies inside the proven bound 0 < q <= 1, so only the engine comparison catches it
+        monkeypatch.setattr(closed_forms, "three_dominant_value", lambda freqs: PiMultiple(Fraction(17, 28)))
+        with pytest.raises(VerificationError) as info:
+            evaluate(fl(1, 1, 1))
+        assert str(info.value) == "three-dominant gave 17/28 but the engine gave 3/4 for (1, 1, 1)"
+
+    @pytest.mark.parametrize(
+        "values,verify",
+        [
+            ([3] + [Fraction(1, p) for p in PRIMES_TO_71], True),
+            ([3, Fraction(1, 2), Fraction(1, 3)], False),
+        ],
+        ids=["n21-past-verify-limit", "n3-no-verify"],
+    )
+    def test_closed_form_outside_the_proven_bound_is_refused(self, monkeypatch, capsys, values, verify):
+        # 2/a_1 breaks q <= 1/a_1; no engine recomputation runs at n = 21 or with verify off
+        monkeypatch.setattr(closed_forms, "first_dominant_value", lambda freqs: PiMultiple(2 / freqs.sorted_entries[0]))
+        freqs = frequency_list(values)
+        with pytest.raises(VerificationError) as info:
+            evaluate(freqs, verify=verify)
+        bound = "outside the proven bound 0 < q <= 1/a_1 = 1/3"
+        assert str(info.value) == f"first-dominant gave 2/3 for ({freqs}), {bound}"
+        argv = ["integrate", *map(str, values)] + ([] if verify else ["--no-verify"])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"verification failure: {info.value}\n"
 
 
 class TestFormulaTable:

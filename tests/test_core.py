@@ -23,7 +23,6 @@ from sincprod import (
     parse_rational,
 )
 from sincprod import core
-from sincprod.cli import OutputRecord
 
 PI_50 = "3.14159265358979323846264338327950288419716939937511"
 
@@ -266,11 +265,6 @@ VALUE_TYPES = {
         f"CrosscheckReport(quadrature={_QUAD_REPR}, exact_coefficient=Fraction(1, 2), exact_value=1.5, "
         "difference=0.0, passed=True)",
     ),
-    "OutputRecord": (
-        lambda: OutputRecord(["1"], 1, "1", "3.14", "first-dominant", "first-dominant", verified=None),
-        "OutputRecord(freqs=['1'], n=1, coefficient='1', decimal='3.14', classification='first-dominant', "
-        "provenance='first-dominant', verified=None)",
-    ),
 }
 
 
@@ -284,7 +278,7 @@ class TestValueSemantics:
         assert type(a).__name__ == name and repr(a) == text
         assert a is not b and a == b
 
-    @pytest.mark.parametrize("name", [name for name in VALUE_TYPES if name != "OutputRecord"])
+    @pytest.mark.parametrize("name", list(VALUE_TYPES))
     def test_frozen_and_hashable(self, name):
         a, b = VALUE_TYPES[name][0](), VALUE_TYPES[name][0]()
         assert hash(a) == hash(b)
@@ -292,10 +286,6 @@ class TestValueSemantics:
         with pytest.raises(AttributeError):
             setattr(a, first_field, None)
         assert a == b
-
-    def test_output_record_holds_lists(self):
-        with pytest.raises(TypeError):
-            hash(VALUE_TYPES["OutputRecord"][0]())
 
     def test_properties_and_methods(self):
         freqs = frequency_list([1, _THIRD])
