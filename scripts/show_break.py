@@ -6,7 +6,7 @@ Usage: python scripts/show_break.py [MAX_N]
 
 import sys
 
-from sincprod import SincprodError, classical_frequencies, correction_term, evaluate
+from sincprod import SincprodError, classical_frequencies, evaluate
 
 
 def main() -> int:
@@ -33,8 +33,9 @@ def main() -> int:
             print(f"        coefficient = {coeff}")
 
     print("\nwhy it breaks at n = 8: the all-but-first-negative sign pattern flips side")
-    term = correction_term(classical_frequencies(8))
-    print(f"  1 - 1/3 - 1/5 - ... - 1/15 = {term.normalized_gap}  (< 0, with N = {term.dominated_count})")
+    a = classical_frequencies(8).sorted_entries
+    gap = 1 - sum(x / a[0] for x in a[1:])
+    print(f"  1 - 1/3 - 1/5 - ... - 1/15 = {gap}  (< 0, with N = {len(a) - 1})")
     return 0
 
 

@@ -40,11 +40,9 @@ __all__ = [
     "DominanceTag",
     "InequalityCheck",
     "DominanceClass",
-    "CorrectionTerm",
     "Evaluation",
     "classical_frequencies",
     "classify_dominance",
-    "correction_term",
     "closed_form_values",
     "evaluate",
 ]
@@ -84,19 +82,6 @@ class DominanceClass(NamedTuple):
     dominated_count: Optional[int]  # N for the boundary class, else None
     boundary_flags: tuple[str, ...]  # labels of comparisons that tied exactly
     checks: tuple[InequalityCheck, ...]
-
-
-class CorrectionTerm(NamedTuple):
-    """The sign pattern that breaks first-frequency dominance.
-
-    normalized_gap = 1 - sum_{j>=2} a_j/a_1, the signed frequency sum of
-    (+1, -1, ..., -1) divided by a_1; it is negative exactly when the
-    pattern has flipped side. dominated_count is N = n - 1, the number of
-    frequencies a_1 still beats collectively.
-    """
-
-    normalized_gap: Fraction
-    dominated_count: int
 
 
 def classical_frequencies(n: int) -> FrequencyList:
@@ -173,41 +158,25 @@ def first_dominant_value(freqs: FrequencyList) -> PiMultiple:
     return PiMultiple(1 / a[0])
 
 
-def _boundary_hypothesis(freqs: FrequencyList) -> None:
-    _require(freqs.n >= 3, f"correction needs n >= 3, got n = {freqs.n}")
-    lower, upper = _boundary_pair(freqs.sorted_entries)
-    # The correction formula needs the (+1, -1, ..., -1) pattern to be the
-    # single sign vector on the wrong side. That holds with the lower
-    # inequality relaxed to >=: an exact tie there only creates zero sums,
-    # which never contribute.
-    _require_check(lower, allow_tie=True)
-    _require_check(upper)
-
-
-def correction_term(freqs: FrequencyList) -> CorrectionTerm:
-    """Gap of the flipped sign pattern at the dominance boundary."""
-    _boundary_hypothesis(freqs)
-    a = freqs.sorted_entries
-    gap = 1 - sum((x / a[0] for x in a[1:]), start=Fraction(0))
-    return CorrectionTerm(gap, freqs.n - 1)
-
-
 def first_dominant_correction(freqs: FrequencyList) -> PiMultiple:
     """pi/a_1 minus the single-pattern correction, exact at the boundary.
 
-    coefficient = 1/a_1 - (1/2^(N-1)) (1/(N! prod_j a_j)) |a_1 gap|^N
-    with N = n - 1.
+    Just past first dominance, the flipped sign pattern (+1, -1, ..., -1)
+    is the one sign vector on the wrong side. Its signed sum is -g, where
+    g = (a_2 + ... + a_n) - a_1 > 0 is the gap of the boundary check, and
+
+    coefficient = 1/a_1 - g^N / (2^(N-1) N! prod_j a_j),  N = n - 1.
     """
-    term = correction_term(freqs)
-    a = freqs.sorted_entries
-    N = term.dominated_count
-    correction = (
-        Fraction(1, 2 ** (N - 1))
-        * Fraction(1, math.factorial(N))
-        / freqs.product()
-        * abs(a[0] * term.normalized_gap) ** N
-    )
-    return PiMultiple(1 / a[0] - correction)
+    _require(freqs.n >= 3, f"correction needs n >= 3, got n = {freqs.n}")
+    lower, upper = _boundary_pair(freqs.sorted_entries)
+    # The formula needs the flipped pattern to be the single sign vector on
+    # the wrong side. That holds with the lower inequality relaxed to >=:
+    # an exact tie there only creates zero sums, which never contribute.
+    _require_check(lower, allow_tie=True)
+    _require_check(upper)
+    N = freqs.n - 1
+    correction = (upper.lhs - upper.rhs) ** N / (2 ** (N - 1) * math.factorial(N) * freqs.product())
+    return PiMultiple(1 / freqs.sorted_entries[0] - correction)
 
 
 def _three_dominant_hypothesis(freqs: FrequencyList) -> None:

@@ -145,7 +145,6 @@ def load_frequency_file(path: str | Path) -> FrequencyList:
 # t_j shrinks by a factor of about 640320**3 / 1728 ~ 1.5e14 (14.18 digits).
 _CHUDNOVSKY_C3_24 = 640320**3 // 24
 _CHUDNOVSKY_DIGITS_PER_TERM = 14
-_PI_GUARD_DIGITS = 10
 
 
 def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
@@ -164,28 +163,6 @@ def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
     return p_am * p_mb, q_am * q_mb, q_mb * t_am + p_am * t_mb
 
 
-def _pi_scaled(k: int) -> int:
-    """floor(pi * 10**k), exactly, in integer arithmetic.
-
-    The Chudnovsky sum is taken to ``k + guard`` digits. Series truncation,
-    the integer square root and the final division leave the scaled value
-    within 2 units of pi * 10**(k + guard), so when both ends of that
-    interval floor to the same k-digit value it is the answer; otherwise
-    (pi * 10**k lies within 10**-guard of an integer) more guard digits
-    are taken.
-    """
-    guard = _PI_GUARD_DIGITS
-    while True:
-        one = 10 ** (k + guard)
-        terms = (k + guard) // _CHUDNOVSKY_DIGITS_PER_TERM + 2
-        _, q, t = _chudnovsky_split(0, terms)
-        scaled = 426880 * math.isqrt(10005 * one * one) * q // t
-        low, high = (scaled - 2) // 10**guard, (scaled + 2) // 10**guard
-        if low == high:
-            return low
-        guard *= 2
-
-
 class PiMultiple(NamedTuple):
     """An exact value q*pi, stored as the rational coefficient q."""
 
@@ -195,17 +172,31 @@ class PiMultiple(NamedTuple):
         return float(self.coefficient) * math.pi
 
     def decimal(self, digits: int = 15) -> str:
-        """Decimal expansion of coefficient*pi, rounded half-even.
+        """Decimal expansion of coefficient*pi, correctly rounded half-even.
 
-        The coefficient is exact, so the only approximation is pi itself;
-        it is taken with 20+ guard digits beyond what the output needs.
+        The coefficient q is exact, so the only approximation is pi. The
+        Chudnovsky sum taken to k = digits + guard digits gives an integer p
+        within 2 of pi * 10**k: series truncation, the integer square root
+        and the final division each lose less than one unit. So
+        q*pi * 10**digits lies between q(p-2)/10**guard and q(p+2)/10**guard,
+        and when both ends round to the same integer, that integer is the
+        correctly rounded answer; otherwise the guard digits are doubled.
+        For q != 0, q*pi is irrational and never exactly a half, so the
+        bracket eventually rounds one way and the loop ends.
         """
         if digits < 0:
             raise ValidationError("digits must be non-negative")
         q = self.coefficient
         guard = 20 + len(_int_to_digits(1 + abs(q.numerator) // q.denominator))
-        scaled = Fraction(q.numerator * _pi_scaled(digits + guard), q.denominator * 10**guard)
-        units = round(scaled)  # Fraction rounds half-even
+        while True:
+            one = 10 ** (digits + guard)
+            _, den, t = _chudnovsky_split(0, (digits + guard) // _CHUDNOVSKY_DIGITS_PER_TERM + 2)
+            p = 426880 * math.isqrt(10005 * one * one) * den // t
+            # Fraction rounds half-even
+            units, other = (round(Fraction(q.numerator * (p + e), q.denominator * 10**guard)) for e in (-2, 2))
+            if units == other:
+                break
+            guard *= 2
         sign = "-" if units < 0 else ""
         whole, frac = divmod(abs(units), 10**digits)
         if digits == 0:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from sincprod import (
     EnumerationStrategy,
     classical_frequencies,
-    correction_term,
+    classify_dominance,
     crosscheck,
     frequency_list,
     integral_coefficient,
@@ -60,11 +60,12 @@ def test_pattern_breaks_at_eight_with_exact_fraction():
 def test_break_gap_reproduction():
     # independent one-line summation, then the library value
     independent = 1 - sum(Fraction(1, 2 * j - 1) for j in range(2, 9))
-    term = correction_term(classical_frequencies(8))
+    cls = classify_dominance(classical_frequencies(8))
+    first = cls.checks[0]
     ok = (
         independent == Fraction(-982, 45045)
-        and term.normalized_gap == independent
-        and term.dominated_count == 7
+        and 1 - first.rhs / first.lhs == independent
+        and cls.dominated_count == 7
     )
     assert report("break gap -982/45045 with N = 7 confirmed independently", ok)
 

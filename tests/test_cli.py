@@ -590,8 +590,8 @@ class TestLazyImports:
 
 
 PUBLIC_NAMES = {
-    "CorrectionTerm", "DominanceClass", "DominanceTag", "Evaluation", "InequalityCheck",
-    "classical_frequencies", "classify_dominance", "closed_form_values", "correction_term", "evaluate",
+    "DominanceClass", "DominanceTag", "Evaluation", "InequalityCheck",
+    "classical_frequencies", "classify_dominance", "closed_form_values", "evaluate",
     "FrequencyList", "PiMultiple", "format_rational", "frequency_list", "load_frequency_file", "parse_rational",
     "EnumerationStrategy", "integral_coefficient", "signed_moment_sum",
     "ApplicabilityError", "CapacityError", "RationalParseError", "SincprodError",
@@ -614,7 +614,7 @@ TRACED_PATHS = [(module, path) for module, paths in TRACED.items() for path in p
 
 class TestPublicSurface:
     def test_the_package_exports_the_same_names(self):
-        assert len(sincprod.__all__) == len(PUBLIC_NAMES) == 32
+        assert len(sincprod.__all__) == len(PUBLIC_NAMES) == 30
         assert set(sincprod.__all__) == PUBLIC_NAMES
         namespace = {}
         exec("from sincprod import *", namespace)

@@ -15,7 +15,6 @@ from sincprod import (
     classical_frequencies,
     classify_dominance,
     closed_form_values,
-    correction_term,
     evaluate,
     frequency_list,
     integral_coefficient,
@@ -145,32 +144,6 @@ class TestFirstDominantValue:
             first_dominant_value(fl(1, 1, 1))
 
 
-class TestCorrectionTerm:
-    def test_classical_eight(self):
-        term = correction_term(classical_frequencies(8))
-        assert term.normalized_gap == Fraction(-982, 45045)
-        assert term.dominated_count == 7
-
-    def test_unequal_top(self):
-        term = correction_term(fl(1, "3/4", "3/4"))
-        assert term.normalized_gap == Fraction(-1, 2)
-        assert term.dominated_count == 2
-
-    def test_tied_top_pair(self):
-        term = correction_term(fl(1, 1, "1/10"))
-        assert term.normalized_gap == Fraction(-1, 10)
-        assert term.dominated_count == 2
-
-    def test_rejects_dominant_list(self):
-        with pytest.raises(ApplicabilityError):
-            correction_term(classical_frequencies(7))
-
-    def test_rejects_far_from_boundary(self):
-        # a1 loses even without the smallest frequency
-        with pytest.raises(ApplicabilityError):
-            correction_term(fl(1, 1, 1, 1))
-
-
 class TestFirstDominantCorrection:
     def test_classical_eight(self):
         value = first_dominant_correction(classical_frequencies(8))
@@ -186,6 +159,28 @@ class TestFirstDominantCorrection:
             == integral_coefficient(freqs).coefficient
             == Fraction(39, 40)
         )
+
+    @pytest.mark.parametrize(
+        "freqs,gap",
+        # the lists of the three tests above
+        [(classical_frequencies(8), Fraction(982, 45045)), (fl(1, "3/4", "3/4"), Fraction(1, 2)),
+         (fl(1, 1, "1/10"), Fraction(1, 10))],
+        ids=["classical-eight", "unequal-top", "tied-top-pair"],
+    )
+    def test_gap_of_the_flipped_pattern(self, freqs, gap):
+        # the formula's g = (a2 + ... + an) - a1 is the classifier's upper boundary check
+        upper = classify_dominance(freqs).checks[2]
+        assert (upper.label, upper.lhs - upper.rhs) == ("a2 + ... + an > a1", gap)
+
+    @pytest.mark.parametrize(
+        "freqs",
+        # a1 still dominates; a1 loses even without the smallest frequency
+        [classical_frequencies(7), fl(1, 1, 1, 1)],
+        ids=["dominant", "far-from-boundary"],
+    )
+    def test_rejects_off_boundary(self, freqs):
+        with pytest.raises(ApplicabilityError):
+            first_dominant_correction(freqs)
 
 
 class TestThreeDominantValue:

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 import mpmath
 import sincprod
 from sincprod import (
-    CorrectionTerm,
     DominanceClass,
     DominanceTag,
     Evaluation,
@@ -188,20 +188,76 @@ class TestPiMultiple:
         assert expect == pytest.approx(float(q) * math.pi, rel=1e-12)
 
 
+def _mpmath_decimal(q: Fraction, digits: int, dps: int) -> Fraction:
+    """q*pi rounded to `digits` places by mpmath at `dps` significant digits.
+
+    Fails unless mpmath's value lies clearly off the halfway point, so the
+    rounding it gives is the true one.
+    """
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(q.numerator) / q.denominator * mpmath.pi * mpmath.mpf(10) ** digits
+        units = int(mpmath.nint(x))
+        assert abs(abs(x - units) - mpmath.mpf(1) / 2) > (1 + abs(x)) * mpmath.mpf(10) ** (10 - dps)
+    return Fraction(units, 10**digits)
+
+
+def _assert_decimal(q: Fraction, digits: int, dps: int) -> None:
+    text = PiMultiple(q).decimal(digits)
+    assert len(text.partition(".")[2]) == digits
+    assert parse_rational(text) == _mpmath_decimal(q, digits, dps)
+
+
+def _near_half(big_n: int, digits: int, k: int, b: int) -> Fraction:
+    """q with q*pi*10**digits within about big_n * 10**-(digits + k) of big_n + 1/2.
+
+    Above the half for b = 0, below it for b = 1.
+    """
+    with mpmath.workdps(digits + k + 30):
+        pi_floor = int(mpmath.floor(mpmath.pi * mpmath.mpf(10) ** (digits + k)))
+    return Fraction((2 * big_n + 1) * 10**k, 2 * (pi_floor + b))
+
+
+NEAR_HALF = [
+    (sign, big_n, digits, k, b)
+    for sign in (1, -1)
+    for big_n in (1, 12345, 3141592653589793)
+    for digits in (0, 3, 15, 40)
+    for k in (30, 60, 120)
+    for b in (0, 1)
+]
+
+
+class TestCorrectRounding:
+    """Decimals are q*pi correctly rounded half-even, checked against mpmath."""
+
+    @pytest.mark.parametrize("sign,big_n,digits,k,b", NEAR_HALF)
+    def test_near_half(self, sign, big_n, digits, k, b):
+        _assert_decimal(sign * _near_half(big_n, digits, k, b), digits, digits + k + 80)
+
+    def test_random_coefficients(self):
+        rng = random.Random(20241)
+        for _ in range(300):
+            q = Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**30))
+            digits = rng.randint(0, 80)
+            _assert_decimal(q, digits, digits + 100)
+
+
 class TestPiDigits:
-    @pytest.mark.parametrize("k", [0, 1, 15, 60, 1000, 5000])
+    @pytest.mark.parametrize("k", [0, 1, 15, 60, 761, 1000, 5000])
     def test_matches_mpmath(self, k):
-        with mpmath.workdps(k + 30):
-            expected = int(mpmath.floor(mpmath.pi * 10**k))
-        assert core._pi_scaled(k) == expected
+        # at k = 761 the digits that follow are 999999...
+        _assert_decimal(Fraction(1), k, k + 30)
 
     def test_close_call_takes_more_guard_digits(self, monkeypatch):
-        # decimals 762..767 of pi are 999999, so pi * 10**761 lies within
-        # 2e-6 of an integer; five guard digits cannot decide its floor
-        monkeypatch.setattr(core, "_PI_GUARD_DIGITS", 5)
-        with mpmath.workdps(800):
-            expected = int(mpmath.floor(mpmath.pi * 10**761))
-        assert core._pi_scaled(761) == expected
+        # q*pi*10**15 lies within about 1e-75 of a half, so the first bracket
+        # of q*pi cannot decide the rounding and pi is taken again, longer
+        q = _near_half(1, 15, 60, 0)
+        expected = _mpmath_decimal(q, 15, 160)
+        roots = []
+        isqrt = math.isqrt
+        monkeypatch.setattr(core.math, "isqrt", lambda n: roots.append(n) or isqrt(n))
+        assert parse_rational(PiMultiple(q).decimal(15)) == expected
+        assert len(roots) > 1
 
 
 class TestLongDigitStrings:
@@ -250,10 +306,6 @@ VALUE_TYPES = {
     "PiMultiple": (lambda: PiMultiple(Fraction(1)), "PiMultiple(coefficient=Fraction(1, 1))"),
     "InequalityCheck": (_check, _CHECK_REPR),
     "DominanceClass": (_dominance, _DOMINANCE_REPR),
-    "CorrectionTerm": (
-        lambda: CorrectionTerm(Fraction(-1, 15), 2),
-        "CorrectionTerm(normalized_gap=Fraction(-1, 15), dominated_count=2)",
-    ),
     "Evaluation": (
         lambda: Evaluation(PiMultiple(Fraction(1)), "first-dominant", _dominance(), True),
         "Evaluation(value=PiMultiple(coefficient=Fraction(1, 1)), provenance='first-dominant', "

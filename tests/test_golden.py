@@ -14,6 +14,7 @@ import pytest
 from sincprod.cli import main
 
 CLASSICAL_8 = ["1", "1/3", "1/5", "1/7", "1/9", "1/11", "1/13", "1/15"]
+NEAR_HALF = "3141592653589793238462643383279502884197169399/3141592653589793500000000000000000000000000000"
 
 CASES = {
     "integrate": ["integrate", "1", "1/3", "1/5"],
@@ -30,6 +31,8 @@ CASES = {
     "integrate-digits-0": ["integrate", "1", "1/3", "1/5", "--digits", "0"],
     "integrate-digits-60": ["integrate", "1", "1/3", "1/5", "--digits", "60"],
     "integrate-digits-60-json": ["integrate", *CLASSICAL_8, "--digits", "60", "--json"],
+    # q*pi = 3.14159265358979350...0375, about 3.75e-46 above the halfway point
+    "integrate-near-half": ["integrate", NEAR_HALF],
     "integrate-41-ones": ["integrate", *["1"] * 41],
     "integrate-no-frequencies": ["integrate"],
     "integrate-parse-error": ["integrate", "1", "1e3"],
