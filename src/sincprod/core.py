@@ -113,7 +113,7 @@ class FrequencyList(NamedTuple):
 
 def frequency_list(values: Iterable[Fraction | int]) -> FrequencyList:
     """Validate and index a frequency list; empty or non-positive input fails."""
-    entries = tuple(Fraction(v) for v in values)
+    entries = tuple(v if type(v) is Fraction else Fraction(v) for v in values)  # Fraction(v) would copy v
     if not entries:
         raise ValidationError("frequency list must not be empty")
     for i, a in enumerate(entries):

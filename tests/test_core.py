@@ -97,6 +97,16 @@ class TestFrequencyList:
         with pytest.raises(ValidationError):
             frequency_list([])
 
+    def test_keeps_given_fractions(self):
+        class Sub(Fraction):
+            pass
+
+        given_values = [Fraction(1, 3), Fraction(2)]
+        fl = frequency_list([*given_values, 5, Sub(1, 7)])
+        assert all(a is b for a, b in zip(fl.entries, given_values))
+        assert fl.entries[2:] == (Fraction(5), Fraction(1, 7))
+        assert all(type(a) is Fraction for a in fl.entries)
+
     def test_helpers(self):
         fl = frequency_list([Fraction(1, 2), Fraction(2)])
         assert fl.product() == 1

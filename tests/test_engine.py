@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -45,6 +47,29 @@ class TestSignedFrequencySum:
         fl = frequency_list([Fraction(1)])
         with pytest.raises(ValidationError):
             signed_frequency_sum(fl, (0,))
+
+
+class TestSignPatternWalk:
+    @pytest.mark.parametrize("k", range(11))
+    def test_keys_decode_to_every_sign_pattern(self, k):
+        rng = random.Random(2400 + k)
+        weights = [rng.randint(1, 4) for _ in range(k)]  # values repeat once k > 4
+        decoded = Counter((key >> 1, -1 if key & 1 else 1) for key in engine._signed_sums(weights))
+        expected = Counter(
+            (sum(s * w for s, w in zip(signs, weights)), math.prod(signs)) for signs in product((1, -1), repeat=k)
+        )
+        assert decoded == expected
+
+    def test_peak_memory_per_half_sum_pattern(self):
+        # 24 copies of 1 walk 2^12 + 2^12 half-sum patterns; a key is one small int
+        fl = frequency_list([1] * 24)
+        tracemalloc.start()
+        try:
+            signed_moment_sum(fl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * (2**12 + 2**12)
 
 
 class TestSignedMomentSum:
@@ -184,8 +209,12 @@ class TestStrategyEquivalence:
 
     def test_larger_seeded_cases(self):
         rng = random.Random(1905)
-        for n in (12, 15, 17, 18):
-            fl = arbitrary_list(rng, n)
+        cases = [arbitrary_list(rng, n) for n in (12, 15, 17, 18)]
+        # collision-heavy: equal lam of both parities share one sorted run
+        alphabet = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4)]
+        cases += [frequency_list(rng.choices(alphabet, k=n)) for n in (16, 18)]
+        cases.append(frequency_list([1] * 18))
+        for fl in cases:
             brute = signed_moment_sum(fl, EnumerationStrategy.BRUTE_FORCE)
             assert signed_moment_sum(fl, EnumerationStrategy.MEET_IN_MIDDLE) == brute
 
