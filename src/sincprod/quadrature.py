@@ -42,11 +42,12 @@ measured against mpmath, with numpy's power and with float ** alike) and
 its argument, power and sum 2n + 4 more per sample: at most 12 a factor.
 That is 35 ulps (10 in direct mode), so 29 of the 64 are slack, and the
 slack absorbs the rounding of the envelope sum itself: each of its K terms
-(K = M - 1 in periodic mode) is within (4n + 20) ulps, and the sum, left to
-right or pairwise, adds a relative (K - 1) 2^-53 <= 2.3e-10 at MAX_SAMPLES,
-far below 29/64 for any n below 10^14. Hence rounding bound = 2 h (ulp of
-the sum + n * 64 ulps of the envelope sum) + 6 ulps of the value +
-n * 2^-1074 per sample for underflow.
+(K = M - 1 in periodic mode) is within (4n + 20) ulps, and the sum,
+pairwise within a block (left to right in Python floats), left to right
+across blocks, adds a relative (K - 1) 2^-53 <= 2.3e-10 at MAX_SAMPLES, as
+any order of summation does, far below 29/64 for any n below 10^14. Hence
+rounding bound = 2 h (ulp of the sum + n * 64 ulps of the envelope sum) +
+6 ulps of the value + n * 2^-1074 per sample for underflow.
 
 Both costs are Python numbers (M can exceed 10^400), compared before any
 array exists; past MAX_SAMPLES the oracle raises ToleranceError naming
@@ -55,7 +56,10 @@ The periodic sample is one function, applied to one r or to an array: up
 to SCALAR_FACTORS sample factors (n times the sample count) to each r in
 Python ints and floats, so numpy is never imported, and past that to an
 int64 array (r w_j below 2^42 within MAX_SAMPLES). The choice depends on
-the input alone.
+the input alone. Either mode takes its samples in blocks of _BLOCK = 2^14
+and streams every block's terms into one math.fsum, which rounds once
+whatever the split, so the value does not depend on the block size and
+memory holds a block, not M - 1 or K samples.
 
 Hurwitz zeta kernel: zeta(s, q) for integer s >= 2 and q in [1, 2] by
 Euler-Maclaurin summation of x^-s from q, with N = 9 direct terms,
@@ -73,6 +77,7 @@ where it is 3.8e-17 = 0.35 ulp.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -93,13 +98,20 @@ __all__ = [
 ]
 
 MIN_TARGET = 1e-12
-# about one second and 150 MB: 1, 1/1000003 (M = 1000005) on an array fits, as do 2e6 direct samples
+# In a fresh process on a 2-core Xeon with CPython 3.11: 1, 1/1000003 (M = 1000005) on an array
+# takes about 0.3 s and peaks at 31.5 MB, 3 MB over importing numpy; 1.4e6 direct samples
+# (1, 1, 1/1000003 at 1e-7) take 0.6 to 1 s and peak at 16 MB. Memory stays one block's worth.
 MAX_SAMPLES = 2_000_000
 # Periodic mode only: up to this many sample factors (n * samples) it takes one r at a time
 # and numpy is never imported. On a 2-core Xeon with CPython 3.11 that costs about 2.4 us a
 # factor (a 5000-sample pair: 24 ms, against 1.3 ms on an array), so 10000 factors stay
 # near 25 ms, well under the 0.17 s that importing numpy costs a fresh process.
 SCALAR_FACTORS = 10_000
+# Samples per block on an array and in direct mode, all streamed into one math.fsum. A block's
+# array temporaries and the last block's terms cost about 150 traced bytes a sample, so the oracle
+# peaks near 2.4 MiB whatever M or K is (a 95 000-sample pair at once: 10.4 MiB). On a 2-core Xeon
+# with numpy 2.4 that pair took 14-16 ms at 2^13, 17 ms at 2^14, 18-21 ms at 2^15, 24 ms at once.
+_BLOCK = 2**14
 _ULP = 2.0**-53
 _ULPS_PER_FACTOR = 64
 _ZETA_DIRECT_TERMS = 9
@@ -212,11 +224,11 @@ def _periodic_sample(r: int | np.ndarray, weights: list[int], M: int, sin, minim
     return term * z, bound * z
 
 
-def _direct_samples(a_floats: list[float], h: float, K: int) -> tuple[list[float], float]:
-    """f(k h) for k = 1..K and the sum of their envelope, in Python floats; a_floats is non-increasing."""
+def _direct_samples(a_floats: list[float], h: float, K: int, start: int = 1) -> tuple[list[float], float]:
+    """f(k h) for k = start..K and the sum of their envelope, in Python floats; a_floats is non-increasing."""
     sin, first, rest = math.sin, a_floats[0], a_floats[1:]
     terms, envelope = [], 0.0
-    for k in range(1, K + 1):
+    for k in range(start, K + 1):
         x = k * h
         t = first * x
         term, bound = sin(t) / t, 1.0  # 1.0 * sin(t) / t, exactly
@@ -227,6 +239,25 @@ def _direct_samples(a_floats: list[float], h: float, K: int) -> tuple[list[float
         terms.append(term)
         envelope += bound
     return terms, envelope
+
+
+def _sum_in_blocks(block, count: int) -> tuple[float, float]:
+    """math.fsum of the terms of samples 1..count and the sum of their envelope, taken _BLOCK samples at a time.
+
+    block(start, stop) returns the terms of samples start..stop-1 as a list and the sum of their envelope.
+    The one fsum rounds once however the terms are split; the envelopes add left to right across blocks.
+    """
+    envelope = 0.0
+
+    def terms():
+        nonlocal envelope
+        for start in range(1, count + 1, _BLOCK):
+            block_terms, block_envelope = block(start, min(start + _BLOCK, count + 1))
+            envelope += block_envelope
+            yield block_terms
+
+    total = math.fsum(itertools.chain.from_iterable(terms()))
+    return total, envelope
 
 
 def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> QuadratureResult:
@@ -276,23 +307,32 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
         R = _as_double(2 * L * pi_num, pi_den, "one period 2*pi*lcm of the denominators")
         h = R / M
         if n * samples <= SCALAR_FACTORS:  # decided by the input alone
-            terms, envelope = [], 0.0
-            for r in range(1, M):
-                term, bound = _periodic_sample(r, weights, M, math.sin, min)
-                terms.append(term)
-                envelope += bound
+
+            def block(start, stop):
+                terms, envelope = [], 0.0
+                for r in range(start, stop):
+                    term, bound = _periodic_sample(r, weights, M, math.sin, min)
+                    terms.append(term)
+                    envelope += bound
+                return terms, envelope
+
         else:
             import numpy as np
 
-            terms, bounds = _periodic_sample(np.arange(1, M, dtype=np.int64), weights, M, np.sin, np.minimum)
-            terms, envelope = terms.tolist(), float(bounds.sum())
+            def block(start, stop):
+                terms, bounds = _periodic_sample(np.arange(start, stop, dtype=np.int64), weights, M, np.sin, np.minimum)
+                return terms.tolist(), float(bounds.sum())
+
         tail = 0.0
     else:
         R = K * h
-        terms, envelope = _direct_samples(a_floats, h, K)
+
+        def block(start, stop):
+            return _direct_samples(a_floats, h, stop - 1, start)
+
         tail = _tail_bound(n, prod_num, prod_den, R)
 
-    total = math.fsum(terms)
+    total, envelope = _sum_in_blocks(block, samples)
     value = h * (1.0 + 2.0 * total)
     allowance = n * _ULPS_PER_FACTOR * envelope
     rounding = 6 * _ULP * value + 2 * h * _ULP * (abs(total) + allowance) + samples * n * 2.0**-1074
