@@ -53,21 +53,14 @@ def _record(freqs: FrequencyList, value, classification, provenance: str, digits
     }
 
 
-def _print_record(record: dict, as_json: bool) -> None:
-    if as_json:
-        import json
+def _print_json(payload: dict) -> None:
+    import json  # only --json output loads it
 
-        print(json.dumps(record, indent=2))
-        return
-    print(f"frequencies: {', '.join(record['freqs'])}  (n = {record['n']})")
-    print(f"coefficient: {record['coefficient']}")
-    print(f"value: {record['decimal']}  (coefficient * pi)")
-    print(f"classification: {record['classification']}")
-    print(f"provenance: {record['provenance']}")
+    print(json.dumps(payload, indent=2))
 
 
 def _freqs_from_args(args: argparse.Namespace) -> FrequencyList:
-    if getattr(args, "file", None):
+    if args.file:
         if args.freqs:
             raise SincprodError("give frequencies either as arguments or with --file, not both")
         return load_frequency_file(args.file)
@@ -88,7 +81,15 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         value, provenance, classification = result.value, result.provenance, result.classification
         if result.verified:
             verified = {"method": "engine-recomputation", "match": True}
-    _print_record(_record(freqs, value, classification, provenance, args.digits, verified), args.json)
+    record = _record(freqs, value, classification, provenance, args.digits, verified)
+    if args.json:
+        _print_json(record)
+        return 0
+    print(f"frequencies: {', '.join(record['freqs'])}  (n = {record['n']})")
+    print(f"coefficient: {record['coefficient']}")
+    print(f"value: {record['decimal']}  (coefficient * pi)")
+    print(f"classification: {record['classification']}")
+    print(f"provenance: {record['provenance']}")
     return 0
 
 
@@ -96,8 +97,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     freqs = _freqs_from_args(args)
     cls = classify_dominance(freqs)
     if args.json:
-        import json
-
         payload = {
             "freqs": [format_rational(a) for a in freqs.entries],
             "n": freqs.n,
@@ -109,7 +108,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 for c in cls.checks
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     print(f"frequencies: {freqs}  (n = {freqs.n})")
     print(f"classification: {cls.tag.value}")
@@ -131,9 +130,7 @@ def _cmd_classic_table(args: argparse.Namespace) -> int:
         result = evaluate(freqs)
         rows.append(_record(freqs, result.value, result.classification, result.provenance, args.digits))
     if args.json:
-        import json
-
-        print(json.dumps({"rows": rows}, indent=2))
+        _print_json({"rows": rows})
         return 0
     coeff_width = max(len(r["coefficient"]) for r in rows)
     for row in rows:
@@ -148,10 +145,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     freqs = _freqs_from_args(args)
     if freqs.n < 2:
         raise SincprodError("verify needs at least two frequencies (quadrature excludes n = 1)")
-    if not math.isfinite(args.tolerance):
+    if not 1e-10 <= args.tolerance < math.inf:  # false for nan too
         raise SincprodError(f"--tolerance must be a finite number of at least 1e-10, got {args.tolerance}")
-    if args.tolerance < 1e-10:
-        raise SincprodError(f"--tolerance must be at least 1e-10, got {args.tolerance}")
 
     rows: dict[str, Fraction | CapacityError] = {}  # in listing order; a row over budget holds its error
     for strategy in EnumerationStrategy:
@@ -170,17 +165,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name, value in rows.items():
         shown = f"skipped ({value.cost})" if isinstance(value, CapacityError) else format_rational(value)
         print(f"  [{index[name]}] {name:<{width}}  {shown}")
-
-    mismatches = []
     if len(names) > 1:
         print("pairwise agreement:")
-        header = "  ".join(f"[{index[name]}]" for name in names)
-        print(f"  {'':{width + 4}}  {header}")
-        for i, row in enumerate(names):
-            agree = [rows[row] == rows[col] for col in names]
-            mismatches += [(row, names[j]) for j in range(i + 1, len(names)) if not agree[j]]
-            cells = "  ".join(f"{'=' if same else 'X':^3}" for same in agree)
+        print(f"  {'':{width + 4}}  " + "  ".join(f"[{index[name]}]" for name in names))
+        for row in names:
+            cells = "  ".join(f"{'=' if rows[row] == rows[col] else 'X':^3}" for col in names)
             print(f"  [{index[row]}] {row:<{width}}  {cells}")
+
+    mismatches = [(x, y) for i, x in enumerate(names) for y in names[i + 1 :] if rows[x] != rows[y]]
     if mismatches:
         print("exact agreement: FAILED", file=sys.stderr)
         for x, y in mismatches:
@@ -219,35 +211,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact sinc-product integrals as rational multiples of pi.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # parent parsers for the options that several commands take, each declared once with one help text
+    freqs, digits, as_json = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    freqs.add_argument("freqs", nargs="*", help="frequencies as n, n/d or finite decimals")
+    freqs.add_argument("--file", help="read frequencies from a file, one per line")
+    digits.add_argument("--digits", type=int, default=15, help="decimal digits of coefficient*pi")
+    as_json.add_argument("--json", action="store_true", help="emit one JSON object")
 
-    integrate = sub.add_parser("integrate", help="compute the exact pi-coefficient")
-    integrate.add_argument("freqs", nargs="*", help="frequencies as n, n/d or finite decimals")
-    integrate.add_argument("--file", help="read frequencies from a file, one per line")
+    integrate = sub.add_parser("integrate", parents=[freqs, digits, as_json], help="compute the exact pi-coefficient")
     integrate.add_argument(
-        "--strategy",
-        choices=[s.value for s in EnumerationStrategy],
-        help="force an engine strategy",
+        "--strategy", choices=[s.value for s in EnumerationStrategy], help="force an engine strategy"
     )
-    integrate.add_argument("--digits", type=int, default=15, help="decimal digits of coefficient*pi")
-    integrate.add_argument("--json", action="store_true", help="emit one JSON object")
     integrate.add_argument("--no-verify", action="store_true", help="skip closed-form re-verification")
     integrate.set_defaults(func=_cmd_integrate)
 
-    classify = sub.add_parser("classify", help="dominance classification with exact inequalities")
-    classify.add_argument("freqs", nargs="*")
-    classify.add_argument("--file", help="read frequencies from a file")
-    classify.add_argument("--json", action="store_true")
-    classify.set_defaults(func=_cmd_classify)
+    sub.add_parser(
+        "classify", parents=[freqs, as_json], help="dominance classification with exact inequalities"
+    ).set_defaults(func=_cmd_classify)
 
-    table = sub.add_parser("classic-table", help="table for the family 1, 1/3, 1/5, ...")
+    table = sub.add_parser("classic-table", parents=[digits, as_json], help="table for the family 1, 1/3, 1/5, ...")
     table.add_argument("--max-n", type=int, default=8, help="number of rows (1..12)")
-    table.add_argument("--digits", type=int, default=15)
-    table.add_argument("--json", action="store_true")
     table.set_defaults(func=_cmd_classic_table)
 
-    verify = sub.add_parser("verify", help="cross-validate every route to the value")
-    verify.add_argument("freqs", nargs="*")
-    verify.add_argument("--file", help="read frequencies from a file")
+    verify = sub.add_parser("verify", parents=[freqs], help="cross-validate every route to the value")
     verify.add_argument("--tolerance", type=float, default=1e-8, help="quadrature target (>= 1e-10)")
     verify.set_defaults(func=_cmd_verify)
 
@@ -260,6 +246,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits on its own errors and --help
         return 0 if not exc.code else 1
     try:
+        # one check for every command that prints decimals, made before any engine work
+        if getattr(args, "digits", 0) < 0:
+            raise SincprodError("digits must be non-negative")
         code = args.func(args)
         sys.stdout.flush()  # a reader that left early shows here, not at exit
         return code

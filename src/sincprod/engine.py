@@ -169,6 +169,12 @@ def integral_coefficient(
     moment = signed_moment_sum(freqs, strategy)
     n = freqs.n
     weights, scale = _integer_weights(freqs)  # a_j = w_j / scale
+    # One Fraction from integer products, so one gcd: S / (2^(n-1) (n-1)! freqs.product()) would
+    # normalise a Fraction at every step. Best of 7 on a 2-core Xeon, CPython 3.11.7: 9-10 us
+    # against 24 us on 7 terms and 15-23 against 84 us on a six-value alphabet at n = 30; the
+    # division wins only where the kernel dwarfs both, coprime n = 24 (130-180 against 75 us
+    # beside a 0.15 s kernel). Reusing signed_moment_sum's weights instead would need it to
+    # return them, and perfbench's tracer reads its Fraction result.
     denominator = moment.denominator * 2 ** (n - 1) * math.factorial(n - 1) * math.prod(weights)
     coefficient = Fraction(moment.numerator * scale**n, denominator)
     _check_bound("engine", coefficient, freqs)

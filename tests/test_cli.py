@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -486,6 +487,17 @@ class TestContract:
             assert exact and set(exact) == {printed_coefficient(integrate[1])}
 
 
+def help_texts(capsys, command):
+    """Argument -> its help text in `sincprod COMMAND --help` ("" when it has none)."""
+    assert main([command, "--help"]) == 0
+    texts = {}
+    for line in capsys.readouterr().out.splitlines():
+        if re.match(r"  \S", line):  # an argument's own line; wrapped help lines are indented further
+            invocation, _, text = line.strip().partition("  ")
+            texts[invocation.split()[0]] = text.strip()
+    return texts
+
+
 class TestArgparseBehavior:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -495,6 +507,30 @@ class TestArgparseBehavior:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["integrate", "1", "--frobnicate"]) == 1
+
+    def test_shared_inputs_have_one_help_text(self, capsys):
+        texts = [help_texts(capsys, command) for command in ("integrate", "classify", "verify")]
+        for option in ("freqs", "--file"):
+            assert texts[0][option] and all(text[option] == texts[0][option] for text in texts), option
+
+    @pytest.mark.parametrize("command", ["integrate", "classify", "classic-table"])
+    def test_every_json_flag_has_help(self, capsys, command):
+        assert help_texts(capsys, command)["--json"]
+
+
+class TestDigits:
+    @pytest.mark.parametrize(
+        "argv",
+        [["integrate", "1", "1/3", "1/5"], ["integrate", "1", "1", "--strategy", "brute"], ["classic-table"]],
+        ids=["integrate", "integrate-brute", "classic-table"],
+    )
+    def test_negative_digits_refused_before_the_engine(self, capsys, monkeypatch, argv):
+        def engine_ran(*args, **kwargs):
+            raise AssertionError("the engine ran before --digits was checked")
+
+        monkeypatch.setattr("sincprod.cli.evaluate", engine_ran)
+        monkeypatch.setattr("sincprod.cli.integral_coefficient", engine_ran)
+        assert run(capsys, *argv, "--digits", "-1") == (1, "", "error: digits must be non-negative\n")
 
 
 LAZY_IMPORT_PROBE = """
