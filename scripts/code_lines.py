@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the code lines of each sincprod module and the package's public names.
+"""Count the code lines of each sincprod module, the package's public names and its runtime dependencies.
 
 A code line holds at least one token that is not part of a comment or of a
 module, class or function docstring; blank lines count for nothing. A string
@@ -12,9 +12,11 @@ import ast
 import io
 import sys
 import tokenize
+import tomllib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
@@ -48,6 +50,9 @@ def main() -> int:
     import sincprod
 
     print(f"sincprod.__all__: {len(sincprod.__all__)} names")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"].get("dependencies", [])
+    print(f"runtime dependencies: {len(dependencies)}")
     return 0
 
 

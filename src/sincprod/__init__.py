@@ -7,10 +7,8 @@ forms for dominant-frequency configurations, and cross-checks everything
 with an independent floating-point quadrature oracle.
 
 The oracle is imported on first use of one of its names (``crosscheck``,
-``quadrature_estimate``, ...), so the exact path does not load it. It needs
-numpy (and nothing else outside the standard library) only for periodic
-sample sets over ``quadrature.SCALAR_FACTORS`` sample factors; smaller ones,
-and every direct-mode set, run in plain Python and load no numpy either.
+``quadrature_estimate``, ...), so the exact path does not load it. Like the
+rest of the package it needs nothing outside the standard library.
 """
 
 import importlib

@@ -186,7 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"exact agreement: all {len(names)} values identical")
 
-    from . import quadrature  # numpy loads for large periodic sets; attributes are read per call, so wrappers apply
+    from . import quadrature  # imported on first use; attributes are read per call, so wrappers apply
 
     try:
         quad = quadrature.quadrature_estimate(freqs, args.tolerance)

@@ -19,14 +19,34 @@ Two ways to take the sum; the cheaper one by sample count is used:
 * periodic - L = lcm of the denominators, w_j = L a_j, M = sum_j w_j + 1 and
   h = 2 pi L / M. Then a_j k h = 2 pi k w_j / M, so prod_j sin(a_j k h)
   repeats every M steps of k and each argument reduces exactly in integers,
-  (k w_j mod M). Grouping k = r + m M, the infinite sum is
-  sum_{r=1}^{M-1} f(r h) z_r with z_r = (r/M)^n zeta(n, r/M), a Hurwitz
-  zeta value taken as 1 + (r/M)^n zeta(n, 1 + r/M) so that large n log M
-  cannot overflow (the kernel is described below). M - 1 samples, no
-  truncation, no discretization.
+  (k w_j mod M). Grouping every k != 0 as r + m M over m in Z, the residue r
+  collects f(r h) times the weight x^n sum_{m in Z} (x + m)^-n, x = r/M,
+  and the term of r equals the term of M - r. So sum_{k >= 1} f(k h) is the
+  sum over r = 1..M/2 of those terms, where r = M/2 (M even) has weight
+  1/2: floor(M/2) samples, no truncation, no discretization.
 * direct - h just below 2 pi / omega and 1 <= k <= K. Since
   |f(x)| <= 1 / (prod_j a_j |x|^n), the samples past K add at most
   tail_bound(freqs, K h). K samples.
+
+Cotangent weight: differentiating Euler's pi cot(pi x) = sum_m 1/(x + m)
+n - 1 times gives sum_m (x + m)^-n = pi^n P_{n-1}(cot pi x) / (n-1)!
+with P_0 = c and P_{k+1} = (1 + c^2) P_k', whose coefficients a_j are
+nonnegative integers (the derivative polynomials of M. E. Hoffman, Amer.
+Math. Monthly 102, 1995). With u = pi x in (0, pi/2] and t = u cot u in
+[0, 1], the weight of residue r is
+
+    W_n(u) = sum_j a_j t^j u^(n-j) / (n-1)!,
+
+a sum of nonnegative terms, each at most W_n <= pi^2/4, that never cancels
+and is evaluated by Horner's rule in t. The cost rule takes periodic mode
+only for n <= 40: as prod_j a_j >= 2^-1074, K <= c W 2^(1074/(n(n-1))) /
+(2 pi) + 1 with c = (4/((n-1) target))^(1/(n-1)), below floor(M/2) >= W/2
+for every n > 40. So every nonzero coefficient lies in [1/39!, 2e5].
+
+For n = 2, w_1 + w_2 = M - 1 turns sin(2u w_1) sin(2u w_2) into
+sin(u)^2 - sin(pi r (w_1 - w_2) / M)^2, so the pair term is
+(1 - rho^2) / (4 w_1 w_2) with rho = sin(pi k / M) / sin(u) and
+k = r (w_1 - w_2) reduced into [-M/2, M/2]: two sines per sample.
 
 Certificate: total_error_bound = tail bound (0 in periodic mode) + rounding
 bound. math.fsum rounds the sample sum once, and h * (1 + 2 sum) costs at
@@ -34,45 +54,33 @@ most 6 ulps of the value. Each of the n factors of a sample is within
 _ULPS_PER_FACTOR = 64 ulps of its envelope min(1, 1/(a_j k h)), times
 max(1, a_1 k h) in direct mode, where arguments round in proportion to
 their size. In ulps of that envelope: argument rounding 6 pi < 19 after the
-exact reduction (6 in direct mode); sin 2 (libm's math.sin, in periodic
-mode also numpy's; 0.5 measured); quotient and running product 2; in
-periodic mode z_r, whose Hurwitz zeta kernel on [1, 2] takes 16 ulps
-(truncation below 0.35 ulp, proven below, and rounding below 2.9 ulps
-measured against mpmath, with numpy's power and with float ** alike) and
-its argument, power and sum 2n + 4 more per sample: at most 12 a factor.
-That is 35 ulps (10 in direct mode), so 29 of the 64 are slack, and the
-slack absorbs the rounding of the envelope sum itself: each of its K terms
-(K = M - 1 in periodic mode) is within (4n + 20) ulps, and the sum,
-pairwise within a block (left to right in Python floats), left to right
-across blocks, adds a relative (K - 1) 2^-53 <= 2.3e-10 at MAX_SAMPLES, as
-any order of summation does, far below 29/64 for any n below 10^14. Hence
-rounding bound = 2 h (ulp of the sum + n * 64 ulps of the envelope sum) +
-6 ulps of the value + n * 2^-1074 per sample for underflow.
+exact reduction (6 in direct mode); sin 2 (libm's math.sin; 0.5 measured);
+quotient and running product 2; in periodic mode W_n, whose arguments u =
+r pi/M and pi/2 - u = (M - 2r) pi/(2M) are within 3 ulps, so that tan (2
+ulps, below 1 measured against mpmath) on [0, pi/4], where its condition
+number is at most pi/2, leaves t = u / tan(u) or u tan(pi/2 - u) within 11,
+and each term of W_n, with its coefficient, powers and Horner steps, within
+13n + 3; with the product by W_n that is at most 15 a factor. That is 38
+ulps (10 in direct mode), so 26 of the 64 are slack. The pair term takes
+sin at arguments in [-pi/2, pi/2], so rho is within 11 ulps and each term
+within 26 ulps of its envelope (1 + rho^2) / (4 w_1 w_2), far inside its
+128. The slack absorbs the rounding of the envelope sum itself: each of its
+K terms (K = floor(M/2) in periodic mode) is within 18n + 4 ulps, the pair
+envelope of a block, 2 N / (4 w_1 w_2) minus the sum of its N terms, within
+N + 31, and the sum, left to right across blocks, adds a relative (K - 1)
+2^-53 <= 2.3e-10 at MAX_SAMPLES, as any order of summation does, far below
+26/64 for any n below 10^14. Hence rounding bound = 6 ulps of the value +
+2 h (ulp of the sum + n * 64 ulps of the envelope sum + 8n 2^-1074 per
+sample for underflow: at most 4n + 2 roundings of a sample can underflow,
+each losing at most 2^-1075 before a factor of at most W_n <= pi^2/4).
 
 Both costs are Python numbers (M can exceed 10^400), compared before any
-array exists; past MAX_SAMPLES the oracle raises ToleranceError naming
-the cost. Direct mode takes its samples one at a time in Python floats.
-The periodic sample is one function, applied to one r or to an array: up
-to SCALAR_FACTORS sample factors (n times the sample count) to each r in
-Python ints and floats, so numpy is never imported, and past that to an
-int64 array (r w_j below 2^42 within MAX_SAMPLES). The choice depends on
-the input alone. Either mode takes its samples in blocks of _BLOCK = 2^14
-and streams every block's terms into one math.fsum, which rounds once
-whatever the split, so the value does not depend on the block size and
-memory holds a block, not M - 1 or K samples.
-
-Hurwitz zeta kernel: zeta(s, q) for integer s >= 2 and q in [1, 2] by
-Euler-Maclaurin summation of x^-s from q, with N = 9 direct terms,
-
-    sum_{k<N} (q+k)^-s + (q+N)^(1-s)/(s-1) + (q+N)^-s/2
-        + sum_{j=1..8} B_2j/(2j)! * s(s+1)...(s+2j-2) * (q+N)^(-s-2j+1).
-
-x^-s is completely monotone, so the remainder has the sign of the first
-omitted term, B_18/18! (s)_17 (q+N)^(-s-17), and is smaller in size. As
-zeta(s, q) > q^-s, that term is below |B_18|/18! (s)_17 (q/(q+N))^s
-(q+N)^-17 <= |B_18|/18! (s)_17 (2/11)^s 10^-17 of the value. This bound
-grows by (s+17)/s * 2/11 from s to s + 1, so it is largest at s = 4,
-where it is 3.8e-17 = 0.35 ulp.
+sample is taken; past MAX_SAMPLES the oracle raises ToleranceError naming
+the cost. Every sample is taken in Python ints and floats, so the oracle
+needs nothing outside the standard library. Either mode takes its samples
+in blocks of _BLOCK = 2^14 and streams every block's terms into one
+math.fsum, which rounds once whatever the split, so the value does not
+depend on the block size and memory holds a block, not all the samples.
 """
 
 from __future__ import annotations
@@ -80,14 +88,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .core import FrequencyList
 from .engine import _integer_weights, integral_coefficient
 from .errors import ToleranceError, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "tail_bound",
@@ -98,28 +103,16 @@ __all__ = [
 ]
 
 MIN_TARGET = 1e-12
-# In a fresh process on a 2-core Xeon with CPython 3.11: 1, 1/1000003 (M = 1000005) on an array
-# takes about 0.3 s and peaks at 31.5 MB, 3 MB over importing numpy; 1.4e6 direct samples
-# (1, 1, 1/1000003 at 1e-7) take 0.6 to 1 s and peak at 16 MB. Memory stays one block's worth.
+# In a fresh process on a 2-core Xeon with CPython 3.11, imports included, each peaking near 15 MB: the pair
+# 1, 1/1000003 at 1e-6 (500 002 periodic samples) takes about 0.2 s, 1, 1/3999997 (2e6 samples) 0.6 to 0.9 s,
+# 1, 1, 1/1000003 at 1e-7 (1e6 periodic samples of three factors) 1.8 s and 1, 1, 1/2000003 at 3e-7
+# (1.16e6 direct samples) 0.5 s. Memory stays one block's worth.
 MAX_SAMPLES = 2_000_000
-# Periodic mode only: up to this many sample factors (n * samples) it takes one r at a time
-# and numpy is never imported. On a 2-core Xeon with CPython 3.11 that costs about 2.4 us a
-# factor (a 5000-sample pair: 24 ms, against 1.3 ms on an array), so 10000 factors stay
-# near 25 ms, well under the 0.17 s that importing numpy costs a fresh process.
-SCALAR_FACTORS = 10_000
-# Samples per block on an array and in direct mode, all streamed into one math.fsum. A block's
-# array temporaries and the last block's terms cost about 150 traced bytes a sample, so the oracle
-# peaks near 2.4 MiB whatever M or K is (a 95 000-sample pair at once: 10.4 MiB). On a 2-core Xeon
-# with numpy 2.4 that pair took 14-16 ms at 2^13, 17 ms at 2^14, 18-21 ms at 2^15, 24 ms at once.
+# Samples per block, all streamed into one math.fsum. At most two blocks' terms are alive, about 32 traced
+# bytes a sample, so the oracle peaks near 1 MiB whatever M or K is (a 100 004-sample pair at once: 3.1 MiB).
 _BLOCK = 2**14
 _ULP = 2.0**-53
 _ULPS_PER_FACTOR = 64
-_ZETA_DIRECT_TERMS = 9
-# B_2j / (2j)! for j = 1..8, the Euler-Maclaurin coefficients of the zeta kernel
-_ZETA_EM_COEFFICIENTS = tuple(
-    float(Fraction(b) / math.factorial(2 * j))
-    for j, b in enumerate(("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510"), 1)
-)
 
 
 def _as_double(num: int, den: int, what: str) -> float:
@@ -176,7 +169,7 @@ class QuadratureResult(NamedTuple):
     tail_bound: float
     R: float  # sampled span: K*h in direct mode, one period M*h = 2*pi*L in periodic mode
     mode: str  # "periodic" or "direct"
-    samples: int  # M - 1 or K
+    samples: int  # floor(M/2) or K
 
     @property
     def total_error_bound(self) -> float:
@@ -191,37 +184,55 @@ class CrosscheckReport(NamedTuple):
     passed: bool
 
 
-def _hurwitz_zeta(s: int, q: float | np.ndarray) -> float | np.ndarray:
-    """zeta(s, q) for integer s >= 2 and q in [1, 2], a float or an array; see the module docstring."""
-    a = q + _ZETA_DIRECT_TERMS
-    power = a**-s
-    inverse_square = 1.0 / (a * a)
-    scaled = power / a  # (q+N)^(-s-2j+1) at j = 1
-    rising = float(s)  # s(s+1)...(s+2j-2) at j = 1
-    corrections = 0.0 * q
-    for j, coefficient in enumerate(_ZETA_EM_COEFFICIENTS, 1):
-        corrections += coefficient * rising * scaled
-        scaled *= inverse_square
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-    total = corrections + power / 2 + a * power / (s - 1)
-    for k in reversed(range(_ZETA_DIRECT_TERMS)):  # smallest parts first
-        total += (q + k) ** -s
-    return total
+def _derivative_polynomial(k: int) -> list[int]:
+    """Coefficients of P_k, lowest degree first: P_0 = c and P_{k+1} = (1 + c^2) P_k'."""
+    p = [0, 1]
+    for _ in range(k):
+        derivative = [j * a for j, a in enumerate(p)][1:]
+        p = [x + y for x, y in zip(derivative + [0, 0], [0, 0] + derivative)]
+    return p
 
 
-def _periodic_sample(r: int | np.ndarray, weights: list[int], M: int, sin, minimum):
-    """f(r h) z_r and its envelope times z_r, with h = 2 pi L / M, for one int r or an int64 array.
+def _cotangent_weight(r: int, M: int, coefficients: list[float]) -> float:
+    """W_n(u) at u = pi r / M in (0, pi/2], from the coefficients a_j / (n-1)! for j = n down to 0."""
+    step = math.pi / M
+    u = r * step
+    t = u / math.tan(u) if 4 * r <= M else u * math.tan((M - 2 * r) * step / 2)  # cot u = tan(pi/2 - u)
+    weight, power = coefficients[0], 1.0
+    for c in coefficients[1:]:
+        power *= u
+        weight = weight * t + c * power
+    return weight
 
-    sin and minimum are math.sin and min for an int, np.sin and np.minimum for an array.
-    """
-    term = bound = 1.0
-    for w in weights:
-        d = (r * w) / M * (2 * math.pi)  # a_j r h, unreduced
-        term *= sin((r * w % M) / M * (2 * math.pi)) / d
-        bound *= minimum(1.0, 1.0 / d)
-    x = r / M
-    z = 1.0 + x ** len(weights) * _hurwitz_zeta(len(weights), 1.0 + x)
-    return term * z, bound * z
+
+def _periodic_samples(weights: list[int], M: int, start: int, stop: int) -> tuple[list[float], float]:
+    """f(r h) W_n(pi r / M) for r = start..stop-1 <= M/2, h = 2 pi L / M, and the sum of their envelope times W_n."""
+    n = len(weights)
+    coefficients = [a / math.factorial(n - 1) for a in reversed(_derivative_polynomial(n - 1))]
+    two_pi_over_m, sin = 2 * math.pi / M, math.sin
+    terms, envelope = [], 0.0
+    for r in range(start, stop):
+        term = bound = 1.0
+        for w in weights:
+            d = r * w * two_pi_over_m  # a_j r h, unreduced
+            term *= sin(r * w % M * two_pi_over_m) / d
+            bound *= 1.0 / d if d > 1.0 else 1.0
+        weight = _cotangent_weight(r, M, coefficients)
+        terms.append(term * weight)
+        envelope += bound * weight
+    return terms, envelope
+
+
+def _pair_samples(weights: list[int], M: int, start: int, stop: int) -> tuple[list[float], float]:
+    """The terms of _periodic_samples for n = 2 by the pair identity, and the sum of (1 + rho^2) / (4 w_1 w_2)."""
+    w1, w2 = weights
+    d, half, step, scale, sin = (w1 - w2) % M, M // 2, math.pi / M, 1 / (4 * w1 * w2), math.sin
+    # rho = sin(pi k / M) / sin(pi r / M), k = r (w_1 - w_2) reduced into [-M/2, M/2]
+    terms = [
+        (1.0 - (rho := sin(((r * d + half) % M - half) * step) / sin(r * step)) * rho) * scale
+        for r in range(start, stop)
+    ]
+    return terms, 2 * scale * len(terms) - sum(terms)
 
 
 def _direct_samples(a_floats: list[float], h: float, K: int, start: int = 1) -> tuple[list[float], float]:
@@ -294,34 +305,25 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
     K = math.floor(10**log_k) + 1 if log_k < 18 else math.inf  # tail_bound(freqs, K*h) <= target/2
     M = W + 1
 
-    cost = min(M - 1, K)
+    cost = min(M // 2, K)
     if cost > MAX_SAMPLES:
         raise ToleranceError(
             f"the oracle needs about 10^{math.log10(cost):.1f} samples (the cheaper of "
-            f"periodic M - 1 and direct K), over its budget of {MAX_SAMPLES}"
+            f"periodic M // 2 and direct K), over its budget of {MAX_SAMPLES}"
         )
     if target >= math.pi / a_floats[0]:
         raise ToleranceError(f"target {target} is not below pi/a_1 = {math.pi / a_floats[0]:.6g}, the value's own size")
-    mode, samples = ("periodic", M - 1) if M - 1 <= K else ("direct", K)
+    mode, samples = ("periodic", M // 2) if M // 2 <= K else ("direct", K)
     if mode == "periodic":
         R = _as_double(2 * L * pi_num, pi_den, "one period 2*pi*lcm of the denominators")
         h = R / M
-        if n * samples <= SCALAR_FACTORS:  # decided by the input alone
+        periodic_samples = _pair_samples if n == 2 else _periodic_samples
 
-            def block(start, stop):
-                terms, envelope = [], 0.0
-                for r in range(start, stop):
-                    term, bound = _periodic_sample(r, weights, M, math.sin, min)
-                    terms.append(term)
-                    envelope += bound
-                return terms, envelope
-
-        else:
-            import numpy as np
-
-            def block(start, stop):
-                terms, bounds = _periodic_sample(np.arange(start, stop, dtype=np.int64), weights, M, np.sin, np.minimum)
-                return terms.tolist(), float(bounds.sum())
+        def block(start, stop):
+            terms, envelope = periodic_samples(weights, M, start, stop)
+            if 2 * stop == M + 2:  # r = M/2 is its own mirror image M - r: weight 1/2, envelope kept whole
+                terms[-1] *= 0.5
+            return terms, envelope
 
         tail = 0.0
     else:
@@ -335,7 +337,7 @@ def quadrature_estimate(freqs: FrequencyList, target_abs_error: float) -> Quadra
     total, envelope = _sum_in_blocks(block, samples)
     value = h * (1.0 + 2.0 * total)
     allowance = n * _ULPS_PER_FACTOR * envelope
-    rounding = 6 * _ULP * value + 2 * h * _ULP * (abs(total) + allowance) + samples * n * 2.0**-1074
+    rounding = 6 * _ULP * value + 2 * h * (_ULP * (abs(total) + allowance) + samples * 8 * n * 2.0**-1074)
     if tail + rounding > target:
         raise ToleranceError(f"certified error {tail + rounding} exceeds target {target}")
     return QuadratureResult(value, rounding, tail, R, mode, samples)
